@@ -45,6 +45,7 @@ from .tensor import (
     outer_product,
     pad_with_ones,
     reassemble,
+    stack_blocks,
     subdivide,
 )
 
@@ -89,5 +90,6 @@ __all__ = [
     "polynomial_sketch",
     "reassemble",
     "save_plan",
+    "stack_blocks",
     "subdivide",
 ]

@@ -1,6 +1,8 @@
 """Command-line front end: generate inputs, run pooling, sweep benchmarks, self-check.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 IO error. Every
+Exit codes: 0 success, 1 check failure (including a result that fails its
+residue or finiteness check), 2 usage error (including non-finite input
+values and running out of memory), 3 IO error. Every
 command is deterministic for fixed flags; benchmark CSVs carry raw per-trial
 rows and leave aggregation to the analyst.
 """
@@ -18,7 +20,7 @@ import numpy as np
 from . import pooling, reference, selfcheck
 from .fileio import BenchRecord, read_tensor, write_csv, write_tensor
 from .hashplan import derive_seed
-from .spectral import ORACLE_CAP
+from .spectral import ORACLE_CAP, ResidueError
 from .tensor import DenseTensor, inner_product
 
 __all__ = ["entry", "main", "run_sweep"]
@@ -72,10 +74,17 @@ def _variant(text: str) -> str:
     return {"time": "time", "freq": "frequency"}[text]
 
 
+def _read_input(path) -> DenseTensor:
+    t = read_tensor(path)
+    if not isinstance(t, DenseTensor):
+        raise UsageError(f"{path} holds complex values; pooling inputs are real")
+    if not np.isfinite(t.values).all():
+        raise UsageError(f"{path} holds NaN or infinite values")
+    return t
+
+
 def _cmd_pool(args) -> int:
-    a = read_tensor(args.a)
-    if not isinstance(a, DenseTensor):
-        raise UsageError(f"{args.a} holds complex values; pooling inputs are real")
+    a = _read_input(args.a)
     dims = _parse_int_list(args.dims, "--dims")
     if args.pad and args.mode != "mcb":
         raise UsageError("--pad applies to mcb only")
@@ -94,9 +103,7 @@ def _cmd_pool(args) -> int:
     else:
         if args.b is None:
             raise UsageError(f"{args.mode} needs --b")
-        b = read_tensor(args.b)
-        if not isinstance(b, DenseTensor):
-            raise UsageError(f"{args.b} holds complex values; pooling inputs are real")
+        b = _read_input(args.b)
         cfg = pooling.PoolingConfig(tuple(dims), _variant(args.variant), args.pad, args.seed)
         start = time.perf_counter_ns()
         feature = pooling.mcb(a, b, cfg) if args.mode == "mcb" else pooling.mct(a, b, cfg)
@@ -290,6 +297,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     except ValueError as e:  # library contract violations
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except ResidueError as e:
+        print(f"check failed: {e}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except MemoryError as e:
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)

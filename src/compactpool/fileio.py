@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,13 +73,27 @@ class DimsOverflowError(TensorFileError):
 
 
 def write_tensor(t: Union[DenseTensor, ComplexTensor], path) -> None:
-    """Serialize a tensor; read_tensor(path) restores it bit-exactly."""
+    """Serialize a tensor; read_tensor(path) restores it bit-exactly.
+
+    Atomic: the bytes go to a temporary file next to path, which then
+    replaces path in one step, so a failed write leaves any old file intact.
+    """
     is_complex = isinstance(t, ComplexTensor)
     dtype = DTYPE_COMPLEX if is_complex else DTYPE_REAL
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, t.order, dtype, 0)
     dims = b"".join(_DIM.pack(d) for d in t.dims)
-    payload = t.values.astype("<c16" if is_complex else "<f8").tobytes()
-    Path(path).write_bytes(header + dims + payload)
+    payload = t.values.astype("<c16" if is_complex else "<f8")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(header + dims)
+            fh.write(payload.data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_tensor(path) -> Union[DenseTensor, ComplexTensor]:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +36,11 @@ __all__ = [
 ]
 
 PLAN_FORMAT_VERSION = 1
+# Bytes build_plan's memo may hold (see _PlanMemo): each plan counts its
+# hash/sign tables at 16 bytes per entry plus _MODE_OVERHEAD per mode for the
+# Python objects around them, which dominate for small plans.
+_MEMO_BYTES = 2**20
+_MODE_OVERHEAD = 1024
 
 
 class PlanFormatError(ValueError):
@@ -48,11 +55,38 @@ def derive_seed(seed: int, *tokens) -> int:
     """Derive a child seed from a base seed and a token path.
 
     Stable across runs and platforms (SHA-256 over the rendered tokens), so
-    one top-level seed reproduces a whole pipeline of sub-plans.
+    one top-level seed reproduces a whole pipeline of sub-plans. Tokens are
+    rendered with ``str``, so ``derive_seed(s, "x", 1) == derive_seed(s, "x", "1")``:
+    a token scheme must not give two paths that render alike different
+    meanings. Changing the rendering would change every derived plan.
     """
     material = "\x1f".join([str(_norm_seed(seed)), *map(str, tokens)])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _integer(v, what: str) -> int:
+    if not _is_integer(v):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _int_table(values, what: str) -> np.ndarray:
+    """Flat int64 copy of a table; bools and non-integers are refused, never truncated."""
+    if isinstance(values, np.ndarray):
+        ok = values.dtype.kind in "iu"
+    else:
+        ok = all(map(_is_integer, np.asarray(values, dtype=object).reshape(-1)))
+    if not ok:
+        raise ValueError(f"{what} entries must be integers")
+    try:
+        return np.array(values, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise ValueError(f"{what} entries must fit in int64") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,12 +99,12 @@ class ModeHash:
     sign_table: np.ndarray
 
     def __post_init__(self) -> None:
-        n = int(self.input_size)
-        d = int(self.output_size)
+        n = _integer(self.input_size, "input_size")
+        d = _integer(self.output_size, "output_size")
         if n < 1 or d < 1:
             raise ValueError(f"sizes must be positive, got {n} -> {d}")
-        h = np.array(self.hash_table, dtype=np.int64).reshape(-1)
-        s = np.array(self.sign_table, dtype=np.int64).reshape(-1)
+        h = _int_table(self.hash_table, "hash")
+        s = _int_table(self.sign_table, "sign")
         if h.size != n or s.size != n:
             raise ValueError(f"tables must have length {n}, got {h.size} and {s.size}")
         if h.size and (h.min() < 0 or h.max() >= d):
@@ -131,11 +165,60 @@ def _mode_rng(seed: int, mode: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(mode,))))
 
 
+def _plan_bytes(plan: SketchPlan) -> int:
+    return sum(m.hash_table.nbytes + m.sign_table.nbytes + _MODE_OVERHEAD for m in plan.modes)
+
+
+class _PlanMemo:
+    """Built plans by (input_dims, output_dims, seed), least recently used first.
+
+    Holds at most _MEMO_BYTES of plans; a plan larger than that is not kept.
+    Sharing is safe because plans are frozen and their tables read-only.
+    """
+
+    def __init__(self) -> None:
+        self._plans: OrderedDict[tuple, SketchPlan] = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def get(self, key: tuple) -> SketchPlan | None:
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+            return plan
+
+    def put(self, key: tuple, plan: SketchPlan) -> None:
+        size = _plan_bytes(plan)
+        if size > _MEMO_BYTES:
+            return
+        with self._lock:
+            if key in self._plans:
+                return
+            self._plans[key] = plan
+            self.nbytes += size
+            while self.nbytes > _MEMO_BYTES:
+                _, old = self._plans.popitem(last=False)
+                self.nbytes -= _plan_bytes(old)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._plans.clear()
+            self.nbytes = 0
+
+
+_memo = _PlanMemo()
+
+
 def build_plan(input_dims: Sequence[int], output_dims: Sequence[int], seed: int) -> SketchPlan:
     """Draw uniform hash and sign tables for every mode.
 
     Entirely determined by (seed, input_dims, output_dims); distinct modes use
-    independent streams.
+    independent streams. Repeated calls with the same key return the same
+    (immutable) plan object from a bounded memo instead of redrawing it.
     """
     ins = [int(n) for n in input_dims]
     outs = [int(d) for d in output_dims]
@@ -146,13 +229,18 @@ def build_plan(input_dims: Sequence[int], output_dims: Sequence[int], seed: int)
     if any(n < 1 for n in ins) or any(d < 1 for d in outs):
         raise ValueError(f"all sizes must be >= 1, got {ins} -> {outs}")
     seed = _norm_seed(seed)
-    modes = []
-    for m, (n, d) in enumerate(zip(ins, outs)):
-        rng = _mode_rng(seed, m)
-        hash_table = rng.integers(0, d, size=n, dtype=np.int64)
-        sign_table = rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
-        modes.append(ModeHash(n, d, hash_table, sign_table))
-    return SketchPlan(tuple(modes), seed)
+    key = (tuple(ins), tuple(outs), seed)
+    plan = _memo.get(key)
+    if plan is None:
+        modes = []
+        for m, (n, d) in enumerate(zip(ins, outs)):
+            rng = _mode_rng(seed, m)
+            hash_table = rng.integers(0, d, size=n, dtype=np.int64)
+            sign_table = rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
+            modes.append(ModeHash(n, d, hash_table, sign_table))
+        plan = SketchPlan(tuple(modes), seed)
+        _memo.put(key, plan)
+    return plan
 
 
 def compose_sum(px: SketchPlan, py: SketchPlan) -> SketchPlan:
@@ -238,9 +326,10 @@ def load_plan(text: str) -> SketchPlan:
         raise PlanFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise PlanFormatError("top-level value must be an object")
-    if doc.get("version") != PLAN_FORMAT_VERSION:
-        raise PlanFormatError(f"unsupported plan version {doc.get('version')!r}")
-    if not isinstance(doc.get("seed"), int):
+    version = doc.get("version")
+    if not _is_integer(version) or version != PLAN_FORMAT_VERSION:
+        raise PlanFormatError(f"unsupported plan version {version!r}")
+    if not _is_integer(doc.get("seed")):
         raise PlanFormatError("seed must be an integer")
     raw_modes = doc.get("modes")
     if not isinstance(raw_modes, list) or not raw_modes:

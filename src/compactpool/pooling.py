@@ -20,7 +20,7 @@ import numpy as np
 from . import hashplan
 from .sketch import count_sketch, md_sketch
 from .spectral import checked_real, indfft, ndfft
-from .tensor import ComplexTensor, DenseTensor, pad_with_ones, subdivide
+from .tensor import ComplexTensor, DenseTensor, pad_with_ones, stack_blocks
 
 __all__ = [
     "PooledFeature",
@@ -114,7 +114,35 @@ def mct(img: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> PooledFeature
     defined when d1 = d2 = d3 = d4, where the spectral product is an exact
     cyclic convolution along the (1, 1, 1) diagonal.
     """
-    if img.order != 3 or txt.order != 1:
+    (feature,) = _mct_blocks(img, 1, txt, cfg)
+    return feature
+
+
+def _stacked_plan(p_img: hashplan.SketchPlan, count: int) -> hashplan.SketchPlan:
+    """p_img for count blocks stacked along mode 0: block g scatters into rows g*d1 .. (g+1)*d1."""
+    first, *rest = p_img.modes
+    offsets = np.arange(count)[:, None] * first.output_size
+    mode = hashplan.ModeHash(
+        count * first.input_size,
+        count * first.output_size,
+        (offsets + first.hash_table).ravel(),
+        np.tile(first.sign_table, count),
+    )
+    return hashplan.SketchPlan((mode, *rest), p_img.seed)
+
+
+def _mct_blocks(
+    stack: DenseTensor, count: int, txt: DenseTensor, cfg: PoolingConfig
+) -> list[PooledFeature]:
+    """mct of each of count equal blocks against one text vector.
+
+    stack holds the blocks as a row-major (count, C, H, W) array with its
+    first two modes merged, so one block is just the image. All blocks share
+    one image plan and one text plan; their sketches come from one scatter
+    and their spectra from one transform each way. The residue check stays
+    per block.
+    """
+    if stack.order != 3 or txt.order != 1:
         raise ValueError("mct needs an order-3 tensor and a vector")
     if len(cfg.output_dims) != 4:
         raise PoolingContractError(f"mct needs four output dims, got {cfg.output_dims}")
@@ -123,15 +151,24 @@ def mct(img: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> PooledFeature
         raise PoolingContractError(
             f"time-variant mct requires equal output dims, got {cfg.output_dims}"
         )
-    p_img, p_txt = hashplan.image_text_plans(img.dims, txt.dims[0], cfg.output_dims, cfg.seed)
-    fx = ndfft(md_sketch(img, p_img).data).array
+    block_dims = (stack.dims[0] // count, *stack.dims[1:])
+    p_img, p_txt = hashplan.image_text_plans(block_dims, txt.dims[0], cfg.output_dims, cfg.seed)
+    plan = p_img if count == 1 else _stacked_plan(p_img, count)
+    sketch = md_sketch(stack, plan).data
+    fx = ndfft(DenseTensor((count, d1, d2, d3), sketch.values), batched=True).array
     fw = ndfft(count_sketch(txt, p_txt).data).values
     idx = np.indices((d1, d2, d3)).sum(axis=0) % d4
-    product = ComplexTensor((d1, d2, d3), (fx * fw[idx]).ravel())
+    product = ComplexTensor((count, d1, d2, d3), fx * fw[idx])
+    plans = (p_img, p_txt)
     if cfg.variant == "frequency":
-        return PooledFeature(product, "frequency", cfg, (p_img, p_txt))
-    data = DenseTensor((d1, d2, d3), checked_real(indfft(product).values, "mct"))
-    return PooledFeature(data, "time", cfg, (p_img, p_txt))
+        return [
+            PooledFeature(ComplexTensor((d1, d2, d3), block), "frequency", cfg, plans)
+            for block in product.array
+        ]
+    return [
+        PooledFeature(DenseTensor((d1, d2, d3), checked_real(block, "mct")), "time", cfg, plans)
+        for block in indfft(product, batched=True).array
+    ]
 
 
 def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTensor:
@@ -164,6 +201,12 @@ def local_mct(
     """Tile the image into blocks and pool each one against the same text vector.
 
     All blocks share one block-shaped image plan and one text plan (both
-    derived from cfg.seed), so block outputs are directly comparable.
+    derived from cfg.seed), so block outputs are directly comparable. Each
+    block's feature equals mct of that block alone; all blocks are pooled in
+    one batched pass. Results come in row-major grid order.
     """
-    return [(g, mct(block, txt, cfg)) for g, block in subdivide(img, block_dims)]
+    stacked = stack_blocks(img, block_dims)
+    count, b1, b2, b3 = stacked.dims
+    grid = tuple(full // b for full, b in zip(img.dims, (b1, b2, b3)))
+    stack = DenseTensor((count * b1, b2, b3), stacked.values)
+    return list(zip(np.ndindex(*grid), _mct_blocks(stack, count, txt, cfg)))

@@ -41,8 +41,14 @@ class ResidueError(ArithmeticError):
 
 
 def checked_real(values: np.ndarray, where: str) -> np.ndarray:
-    """Drop the imaginary part after asserting it is numerically negligible."""
+    """Drop the imaginary part after asserting it is numerically negligible.
+
+    NaN or infinite values fail too, rather than passing as a NaN norm.
+    """
     total = np.linalg.norm(values)
+    # The norm also overflows for finite values above about 1e154.
+    if not np.isfinite(total) and not np.isfinite(values).all():
+        raise ResidueError(f"{where}: result holds non-finite values")
     residue = np.linalg.norm(values.imag)
     if residue > RESIDUE_TOL * total:
         raise ResidueError(
@@ -51,20 +57,35 @@ def checked_real(values: np.ndarray, where: str) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-def ndfft(t: DenseTensor | ComplexTensor) -> ComplexTensor:
-    """Unnormalized forward DFT over every mode."""
+def _transform_axes(t: DenseTensor | ComplexTensor, batched: bool) -> tuple[int, ...]:
+    if batched and t.order < 2:
+        raise ValueError(f"a batched transform needs order >= 2, got order {t.order}")
+    return tuple(range(int(batched), t.order))
+
+
+def ndfft(t: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTensor:
+    """Unnormalized forward DFT over every mode.
+
+    With batched, mode 0 indexes independent blocks and is not transformed:
+    each block comes out as ndfft of that block alone.
+    """
+    axes = _transform_axes(t, batched)
     arr = np.asarray(t.array, dtype=np.complex128)
     if t.order == 0:
         return ComplexTensor((), arr.reshape(-1))
-    return ComplexTensor(t.dims, np.fft.fftn(arr).ravel())
+    return ComplexTensor(t.dims, np.fft.fftn(arr, axes=axes).ravel())
 
 
-def indfft(f: DenseTensor | ComplexTensor) -> ComplexTensor:
-    """Inverse DFT with the 1/prod(dims) normalization; inverts ndfft."""
+def indfft(f: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTensor:
+    """Inverse DFT with the 1/prod(dims) normalization; inverts ndfft.
+
+    batched leaves mode 0 untransformed, as in ndfft.
+    """
+    axes = _transform_axes(f, batched)
     arr = np.asarray(f.array, dtype=np.complex128)
     if f.order == 0:
         return ComplexTensor((), arr.reshape(-1))
-    return ComplexTensor(f.dims, np.fft.ifftn(arr).ravel())
+    return ComplexTensor(f.dims, np.fft.ifftn(arr, axes=axes).ravel())
 
 
 def naive_ndft(t: DenseTensor | ComplexTensor, cap: int = ORACLE_CAP) -> ComplexTensor:

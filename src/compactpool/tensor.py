@@ -22,6 +22,7 @@ __all__ = [
     "outer_product",
     "pad_with_ones",
     "reassemble",
+    "stack_blocks",
     "subdivide",
 ]
 
@@ -181,30 +182,39 @@ def pad_with_ones(x: DenseTensor, pad_len: int) -> DenseTensor:
     return DenseTensor.vector(np.concatenate([x.values, np.ones(pad_len)]))
 
 
-def subdivide(
-    t: DenseTensor, block_dims: Sequence[int]
-) -> list[tuple[tuple[int, int, int], DenseTensor]]:
-    """Tile an order-3 tensor into equal blocks.
+def stack_blocks(t: DenseTensor, block_dims: Sequence[int]) -> DenseTensor:
+    """Tile an order-3 tensor into equal blocks stacked along a new leading mode.
 
-    Returns (grid_coordinate, block) pairs in row-major grid order. Every
-    block dim must divide the matching tensor dim; there is no implicit
-    padding.
+    Result dims are (G, b1, b2, b3) with the G blocks in row-major grid
+    order. Every block dim must divide the matching tensor dim; there is no
+    implicit padding.
     """
     if t.order != 3:
-        raise ValueError(f"subdivide needs an order-3 tensor, got order {t.order}")
+        raise ValueError(f"tiling needs an order-3 tensor, got order {t.order}")
     bdims = tuple(int(b) for b in block_dims)
     if len(bdims) != 3 or any(b < 1 for b in bdims):
         raise ValueError(f"block_dims must be three positive integers, got {bdims}")
     for full, block in zip(t.dims, bdims):
         if full % block != 0:
             raise ValueError(f"block dim {block} does not divide tensor dim {full}")
-    grid = tuple(full // block for full, block in zip(t.dims, bdims))
-    arr = t.array
-    out = []
-    for g in np.ndindex(*grid):
-        sl = tuple(slice(gi * b, (gi + 1) * b) for gi, b in zip(g, bdims))
-        out.append((g, DenseTensor.from_array(arr[sl])))
-    return out
+    g1, g2, g3 = (full // b for full, b in zip(t.dims, bdims))
+    b1, b2, b3 = bdims
+    arr = t.array.reshape(g1, b1, g2, b2, g3, b3).transpose(0, 2, 4, 1, 3, 5)
+    return DenseTensor((g1 * g2 * g3, *bdims), arr.reshape(-1))
+
+
+def subdivide(
+    t: DenseTensor, block_dims: Sequence[int]
+) -> list[tuple[tuple[int, int, int], DenseTensor]]:
+    """Tile an order-3 tensor into equal blocks.
+
+    Returns (grid_coordinate, block) pairs in row-major grid order; see
+    stack_blocks for the rules on block_dims.
+    """
+    stacked = stack_blocks(t, block_dims)
+    bdims = stacked.dims[1:]
+    grid = tuple(full // b for full, b in zip(t.dims, bdims))
+    return [(g, DenseTensor(bdims, block)) for g, block in zip(np.ndindex(*grid), stacked.array)]
 
 
 def reassemble(

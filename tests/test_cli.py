@@ -2,10 +2,12 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
+from compactpool import pooling
 from compactpool.cli import main, run_sweep
-from compactpool.fileio import read_tensor
-from compactpool.tensor import ComplexTensor
+from compactpool.fileio import read_tensor, write_tensor
+from compactpool.tensor import ComplexTensor, DenseTensor
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -229,3 +231,56 @@ def test_selfcheck_output_is_deterministic(capsys):
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("variant", ["time", "freq"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pool_refuses_non_finite_input(tmp_path, capsys, variant, bad):
+    img, txt = _gen_inputs(tmp_path)
+    arr = read_tensor(img).array.copy()
+    arr[1, 2, 3] = bad
+    write_tensor(DenseTensor.from_array(arr), img)
+    out = tmp_path / "y.tsk"
+    rc = main(["pool", "--mode", "mct", "--a", str(img), "--b", str(txt),
+               "--dims", "4,4,4,4", "--variant", variant, "--seed", "3", "--out", str(out)])
+    assert rc == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pool_refuses_non_finite_second_input(tmp_path):
+    a, b = tmp_path / "a.tsk", tmp_path / "b.tsk"
+    write_tensor(DenseTensor.vector([1.0, 2.0]), a)
+    write_tensor(DenseTensor.vector([1.0, np.nan]), b)
+    out = tmp_path / "z.tsk"
+    rc = main(["pool", "--mode", "mcb", "--a", str(a), "--b", str(b), "--dims", "4",
+               "--variant", "freq", "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_pool_overflow_fails_the_residue_check(tmp_path, capsys):
+    # Finite inputs whose spectral product overflows to a non-finite result.
+    a = tmp_path / "a.tsk"
+    write_tensor(DenseTensor.vector([1e308]), a)
+    out = tmp_path / "z.tsk"
+    rc = main(["pool", "--mode", "mcb", "--a", str(a), "--b", str(a), "--dims", "1",
+               "--variant", "time", "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pool_out_of_memory_is_exit_2(tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(pooling, "mcb", exhausted)
+    a = tmp_path / "a.tsk"
+    write_tensor(DenseTensor.vector([1.0, 2.0]), a)
+    out = tmp_path / "z.tsk"
+    rc = main(["pool", "--mode", "mcb", "--a", str(a), "--b", str(a), "--dims", "4",
+               "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert "out of memory" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,9 +1,12 @@
 import csv
+import errno
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from compactpool import fileio
 from compactpool.fileio import (
     BadMagicError,
     BenchRecord,
@@ -168,3 +171,60 @@ def test_bench_record_validates():
         BenchRecord(method="other", d=1, trial=0, seed=0, metric="bytes", value=0)
     with pytest.raises(ValueError):
         BenchRecord(method="mcb", d=1, trial=0, seed=0, metric="speed", value=0)
+
+
+class _DiskFullFile:
+    """File stand-in that keeps the first few bytes it is given, then fails."""
+
+    def __init__(self, path, mode):
+        self._fh = open(path, mode)
+        self._room = 10
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        data = bytes(data)
+        self._fh.write(data[: self._room])
+        if len(data) > self._room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._room -= len(data)
+        return len(data)
+
+
+def test_write_that_fails_midway_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.tsk"
+    write_tensor(DenseTensor.vector([1.0, 2.0, 3.0]), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(fileio, "open", _DiskFullFile, raising=False)
+    with pytest.raises(OSError) as info:
+        write_tensor(DenseTensor.vector(np.arange(100.0)), path)
+    assert info.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["t.tsk"]
+
+
+def test_write_that_fails_to_replace_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "t.tsk"
+    write_tensor(DenseTensor.vector([1.0]), path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "replace refused")
+
+    monkeypatch.setattr(fileio.os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write_tensor(DenseTensor.vector([2.0, 3.0]), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["t.tsk"]
+
+
+def test_write_replaces_atomically_and_leaves_nothing_else(tmp_path):
+    path = tmp_path / "t.tsk"
+    write_tensor(DenseTensor.vector([1.0]), path)
+    write_tensor(ComplexTensor.from_array(np.array([1 + 2j, 3 - 4j])), path)
+    assert os.listdir(tmp_path) == ["t.tsk"]
+    assert read_tensor(path).values.tolist() == [1 + 2j, 3 - 4j]

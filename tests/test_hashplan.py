@@ -1,6 +1,13 @@
+import json
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from compactpool import hashplan
 from compactpool.hashplan import (
     ModeHash,
     PlanFormatError,
@@ -230,3 +237,198 @@ def test_derive_seed_is_stable_and_sensitive():
     assert derive_seed(1, "x") != derive_seed(1, "y")
     assert derive_seed(1, "x") != derive_seed(2, "x")
     assert derive_seed(-1, "x") == derive_seed(2**64 - 1, "x")
+
+
+@pytest.fixture
+def memo():
+    hashplan._memo.clear()
+    yield hashplan._memo
+    hashplan._memo.clear()
+
+
+def test_memo_returns_the_same_plan_for_the_same_key(memo):
+    p = build_plan([5, 6], [3, 4], 11)
+    assert build_plan((5, 6), (3, 4), 11) is p
+    assert build_plan(np.array([5, 6]), [np.int64(3), 4], 11) is p
+    assert len(memo) == 1
+
+
+def test_memo_keys_on_the_normalised_seed(memo):
+    p = build_plan([5], [3], 11)
+    assert build_plan([5], [3], 11 + 2**64) is p
+    assert build_plan([5], [3], -1) is build_plan([5], [3], 2**64 - 1)
+    assert len(memo) == 2
+
+
+def test_memo_separates_dims_and_seeds(memo):
+    p = build_plan([5], [3], 11)
+    others = [build_plan([5], [3], 12), build_plan([6], [3], 11), build_plan([5], [4], 11),
+              build_plan([5, 1], [3, 1], 11)]
+    assert all(q is not p and q != p for q in others)
+    assert len(memo) == 5
+
+
+def test_memo_validates_before_lookup(memo):
+    build_plan([5], [3], 11)
+    with pytest.raises(ValueError):
+        build_plan([5], [0], 11)
+    with pytest.raises(ValueError):
+        build_plan([5], [3, 3], 11)
+
+
+def test_memo_plans_are_read_only(memo):
+    p = build_plan([5], [3], 11)
+    with pytest.raises(ValueError):
+        p.modes[0].hash_table[0] = 0
+    with pytest.raises(ValueError):
+        p.modes[0].sign_table[0] = 1
+    with pytest.raises(AttributeError):
+        p.modes[0].hash_table = np.zeros(5, dtype=np.int64)
+    assert build_plan([5], [3], 11) == load_plan(save_plan(p))
+
+
+def _third_of_budget():
+    """Input size of a one-mode plan that takes a little under a third of the memo."""
+    return (hashplan._MEMO_BYTES // 3 - hashplan._MODE_OVERHEAD) // 16
+
+
+def test_memo_stays_within_its_budget(memo):
+    n = _third_of_budget()
+    first = build_plan([n], [8], 0)
+    for seed in range(1, 10):
+        build_plan([n], [8], seed)
+        assert memo.nbytes <= hashplan._MEMO_BYTES
+    assert len(memo) == 3
+    again = build_plan([n], [8], 0)
+    assert again is not first and again == first
+
+
+def test_memo_evicts_the_least_recently_used(memo):
+    n = _third_of_budget()
+    p0, p1, _ = (build_plan([n], [8], seed) for seed in range(3))
+    assert build_plan([n], [8], 0) is p0
+    build_plan([n], [8], 3)
+    assert build_plan([n], [8], 0) is p0
+    assert build_plan([n], [8], 1) is not p1
+
+
+def test_memo_skips_a_plan_larger_than_its_budget(memo):
+    small = build_plan([5], [3], 11)
+    n = hashplan._MEMO_BYTES // 16
+    big = build_plan([n], [2], 1)
+    assert build_plan([n], [2], 1) is not big
+    assert len(memo) == 1 and build_plan([5], [3], 11) is small
+
+
+def test_memo_keeps_its_byte_count_under_concurrent_builds(memo):
+    n = (hashplan._MEMO_BYTES // 8 - hashplan._MODE_OVERHEAD) // 16
+    built = {}
+    errors = []
+
+    def worker(w):
+        try:
+            for i in range(40):
+                seed = (w * 7 + i) % 12
+                built[(w, i)] = (seed, build_plan([n], [4], seed))
+        except Exception as e:  # surfaced by the assertion below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(built) == 4 * 40
+    assert memo.nbytes == len(memo) * (n * 16 + hashplan._MODE_OVERHEAD) <= hashplan._MEMO_BYTES
+    for seed, plan in built.values():
+        assert plan == build_plan([n], [4], seed)
+
+
+def test_derive_seed_renders_tokens_with_str():
+    assert derive_seed(3, "x", 1) == derive_seed(3, "x", "1")
+
+
+def _plan_doc():
+    return json.loads(save_plan(build_plan([3, 2], [4, 5], 9)))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("hash_table", [0.9, 2.5, 1]),
+        ("hash_table", [0, 1.0, 1]),
+        ("hash_table", [0, True, 1]),
+        ("hash_table", [0, 2**70, 1]),
+        ("hash_table", [0, "1", 1]),
+        ("sign_table", [True, True, True]),
+        ("sign_table", [1, -1.0, 1]),
+        ("input_size", True),
+        ("input_size", 3.0),
+        ("output_size", 4.5),
+    ],
+)
+def test_load_plan_refuses_non_integer_fields(field, value):
+    doc = _plan_doc()
+    doc["modes"][0][field] = value
+    with pytest.raises(PlanFormatError, match="integer|int64"):
+        load_plan(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, value", [("seed", True), ("seed", 9.0), ("version", True)])
+def test_load_plan_refuses_non_integer_header(field, value):
+    doc = _plan_doc()
+    doc[field] = value
+    with pytest.raises(PlanFormatError):
+        load_plan(json.dumps(doc))
+
+
+def test_mode_hash_refuses_non_integer_arrays():
+    with pytest.raises(ValueError, match="integer"):
+        ModeHash(2, 2, np.array([0.0, 1.0]), [1, 1])
+    with pytest.raises(ValueError, match="integer"):
+        ModeHash(2, 2, [0, 1], np.array([True, True]))
+    with pytest.raises(ValueError, match="integer"):
+        ModeHash(2.0, 2, [0, 1], [1, 1])
+    mode = ModeHash(np.int64(2), 2, np.array([0, 1], dtype=np.uint8), (1, -1))
+    assert mode.hash_table.dtype == np.int64 and mode.input_size == 2
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=6,
+)
+
+
+def _doc_paths(doc):
+    paths = [("version",), ("seed",), ("modes",)]
+    for m, mode in enumerate(doc["modes"]):
+        paths.append(("modes", m))
+        for field in ("input_size", "output_size", "hash_table", "sign_table"):
+            paths.append(("modes", m, field))
+        for field in ("hash_table", "sign_table"):
+            paths += [("modes", m, field, i) for i in range(len(mode[field]))]
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_plan_fuzz_never_loads_a_changed_plan(data):
+    doc = _plan_doc()
+    *parents, last = data.draw(st.sampled_from(_doc_paths(doc)))
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(_json_values)
+    text = json.dumps(doc)
+    try:
+        plan = load_plan(text)
+    except PlanFormatError:
+        return
+    assert save_plan(plan) == text

@@ -18,7 +18,7 @@ from compactpool.pooling import (
 )
 from compactpool.reference import mcb_oracle, mct_oracle
 from compactpool.sketch import SketchOutput, count_sketch, decode_estimate, md_sketch
-from compactpool.spectral import naive_ndft, ndfft
+from compactpool.spectral import ResidueError, naive_ndft, ndfft
 from compactpool.tensor import ComplexTensor, DenseTensor, subdivide
 
 
@@ -291,3 +291,59 @@ def test_local_mct_rejects_non_divisible():
     txt = DenseTensor.vector([1.0])
     with pytest.raises(ValueError, match="divide"):
         local_mct(img, txt, (2, 2, 2), PoolingConfig((2, 2, 2, 2), "time", False, 0))
+
+
+@pytest.mark.parametrize(
+    "img_dims, block_dims, out_dims, variant",
+    [
+        ((3, 4, 2), (3, 4, 2), (4, 4, 4, 4), "time"),
+        ((4, 6, 2), (2, 2, 2), (3, 3, 3, 3), "time"),
+        ((6, 4, 3), (3, 1, 3), (4, 4, 4, 4), "time"),
+        ((4, 6, 2), (2, 3, 1), (2, 5, 3, 4), "frequency"),
+    ],
+)
+def test_batched_local_mct_equals_per_block_mct(img_dims, block_dims, out_dims, variant):
+    rng = np.random.default_rng(83)
+    img = DenseTensor.from_array(rng.standard_normal(img_dims))
+    txt = DenseTensor.vector(rng.standard_normal(5))
+    cfg = PoolingConfig(out_dims, variant, False, 21)
+    result = local_mct(img, txt, block_dims, cfg)
+    blocks = subdivide(img, block_dims)
+    assert [g for g, _ in result] == [g for g, _ in blocks]
+    assert [g for g, _ in result] == list(np.ndindex(*(f // b for f, b in zip(img_dims, block_dims))))
+    for (g, feature), (_, block) in zip(result, blocks):
+        single = mct(block, txt, cfg)
+        assert feature.domain == variant
+        assert feature.data.dims == out_dims[:3]
+        assert feature.plans == single.plans
+        assert np.max(np.abs(feature.data.values - single.data.values)) <= 1e-9
+
+
+def test_local_mct_blocks_match_the_oracle():
+    rng = np.random.default_rng(84)
+    img = DenseTensor.from_array(rng.standard_normal((4, 2, 6)))
+    txt = DenseTensor.vector(rng.standard_normal(3))
+    cfg = PoolingConfig((3, 3, 3, 3), "time", False, 22)
+    for (g, feature), (_, block) in zip(local_mct(img, txt, (2, 2, 3), cfg),
+                                        subdivide(img, (2, 2, 3))):
+        oracle = mct_oracle(block, txt, 3, 22)
+        assert np.max(np.abs(feature.data.values - oracle.values)) <= 1e-9
+
+
+def test_local_mct_checks_the_residue_of_every_block():
+    arr = np.random.default_rng(85).standard_normal((2, 4, 4))
+    arr[1, 3, 2] = np.inf  # only the last block holds it
+    img = DenseTensor.from_array(arr)
+    txt = _gauss_vec(3, 86)
+    cfg = PoolingConfig((2, 2, 2, 2), "time", False, 13)
+    with pytest.raises(ResidueError, match="mct"):
+        local_mct(img, txt, (2, 2, 2), cfg)
+    clean = local_mct(DenseTensor.from_array(arr[:, :2]), txt, (2, 2, 2), cfg)
+    assert all(np.isfinite(f.data.values).all() for _, f in clean)
+
+
+def test_local_mct_rejects_bad_text():
+    img = DenseTensor.from_array(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="vector"):
+        local_mct(img, DenseTensor.from_array(np.zeros((2, 2))), (2, 2, 2),
+                  PoolingConfig((2, 2, 2, 2), "time", False, 0))

@@ -178,3 +178,28 @@ def test_checked_real_flags_large_residue():
         checked_real(np.array([1.0 + 0.5j]), "test")
     out = checked_real(np.array([1.0 + 0j, 2.0 + 0j]), "test")
     assert out.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checked_real_refuses_non_finite_values(bad):
+    values = np.array([1.0 + 0j, bad, 2.0])
+    with pytest.raises(ResidueError, match="non-finite"):
+        checked_real(values, "here")
+
+
+def test_checked_real_passes_finite_values_whose_norm_overflows():
+    values = np.array([1e200 + 0j, -1e200])
+    assert checked_real(values, "here").tolist() == [1e200, -1e200]
+
+
+def test_batched_transforms_act_on_each_block_alone():
+    arr = np.random.default_rng(40).standard_normal((3, 2, 4, 5))
+    stacked = DenseTensor.from_array(arr)
+    forward = ndfft(stacked, batched=True)
+    back = indfft(forward, batched=True)
+    for g in range(3):
+        block = DenseTensor.from_array(arr[g])
+        assert np.array_equal(forward.array[g], ndfft(block).array)
+        assert np.array_equal(back.array[g], indfft(ndfft(block)).array)
+    with pytest.raises(ValueError, match="order"):
+        ndfft(DenseTensor.vector([1.0, 2.0]), batched=True)

@@ -9,6 +9,7 @@ from compactpool.tensor import (
     outer_product,
     pad_with_ones,
     reassemble,
+    stack_blocks,
     subdivide,
 )
 
@@ -206,3 +207,17 @@ def test_complex_tensor_round_shape():
 def test_dense_rejects_complex_values():
     with pytest.raises(ValueError):
         DenseTensor((2,), np.array([1 + 1j, 2 + 0j]))
+
+
+def test_stack_blocks_orders_blocks_row_major():
+    t = DenseTensor.from_array(np.arange(4 * 6 * 2, dtype=float).reshape(4, 6, 2))
+    stacked = stack_blocks(t, (2, 3, 1))
+    assert stacked.dims == (8, 2, 3, 1)
+    for i, (g, block) in enumerate(subdivide(t, (2, 3, 1))):
+        assert np.array_equal(stacked.array[i], block.array)
+        sl = tuple(slice(gi * b, (gi + 1) * b) for gi, b in zip(g, (2, 3, 1)))
+        assert np.array_equal(block.array, t.array[sl])
+    with pytest.raises(ValueError, match="divide"):
+        stack_blocks(t, (3, 3, 1))
+    with pytest.raises(ValueError, match="order-3"):
+        stack_blocks(DenseTensor.vector([1.0]), (1, 1, 1))
