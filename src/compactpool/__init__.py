@@ -11,7 +11,6 @@ from .hashplan import (
     PlanFormatError,
     SketchPlan,
     build_plan,
-    compose_diag,
     compose_sum,
     derive_seed,
     load_plan,
@@ -27,16 +26,8 @@ from .pooling import (
     polynomial_sketch,
 )
 from .reference import kernel_oracle, mcb_oracle, mct_oracle
-from .sketch import SketchOutput, aggregate_estimates, count_sketch, decode_estimate, md_sketch
-from .spectral import (
-    OracleCapExceeded,
-    ResidueError,
-    circular_convolve,
-    diag_broadcast_convolve,
-    indfft,
-    naive_ndft,
-    ndfft,
-)
+from .sketch import aggregate_estimates, count_sketch, decode_estimate, md_sketch
+from .spectral import OracleCapExceeded, ResidueError, indfft, naive_ndft, ndfft
 from .tensor import (
     CapacityError,
     ComplexTensor,
@@ -62,17 +53,13 @@ __all__ = [
     "PoolingConfig",
     "PoolingContractError",
     "ResidueError",
-    "SketchOutput",
     "SketchPlan",
     "aggregate_estimates",
     "build_plan",
-    "circular_convolve",
-    "compose_diag",
     "compose_sum",
     "count_sketch",
     "decode_estimate",
     "derive_seed",
-    "diag_broadcast_convolve",
     "indfft",
     "inner_product",
     "kernel_oracle",

@@ -20,6 +20,7 @@ import csv
 import math
 import os
 import secrets
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,36 +98,47 @@ def write_tensor(t: Union[DenseTensor, ComplexTensor], path) -> None:
 
 
 def read_tensor(path) -> Union[DenseTensor, ComplexTensor]:
-    """Parse a tensor file, with a distinct error for each violation."""
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise TruncatedPayloadError(f"file has {len(data)} bytes, header needs {_HEADER.size}")
-    magic, version, order, dtype, reserved = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"version {version}, expected {FORMAT_VERSION}")
-    if dtype not in (DTYPE_REAL, DTYPE_COMPLEX):
-        raise TensorFileError(f"unknown dtype byte {dtype}")
-    if reserved != 0:
-        raise TensorFileError(f"reserved byte must be 0, got {reserved}")
-    dims_end = _HEADER.size + _DIM.size * order
-    if len(data) < dims_end:
-        raise TruncatedPayloadError(f"file ends inside the dims block ({len(data)} bytes)")
-    dims = tuple(
-        _DIM.unpack_from(data, _HEADER.size + _DIM.size * i)[0] for i in range(order)
-    )
-    cells = math.prod(dims)
-    if cells > _MAX_FILE_CELLS:
-        raise DimsOverflowError(f"dims {dims} declare {cells} cells, over {_MAX_FILE_CELLS}")
-    itemsize = 16 if dtype == DTYPE_COMPLEX else 8
-    expected = dims_end + cells * itemsize
-    if len(data) != expected:
-        raise TruncatedPayloadError(
-            f"dims {dims} declare {expected} bytes, file has {len(data)}"
-        )
-    kind = "<c16" if dtype == DTYPE_COMPLEX else "<f8"
-    values = np.frombuffer(data, dtype=kind, count=cells, offset=dims_end)
+    """Parse a tensor file, with a distinct error for each violation.
+
+    For a regular file the size the header declares is checked against the
+    file's size before the payload is read, so a lying header costs no
+    allocation; other files (pipes) are measured by reading them.
+    """
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TruncatedPayloadError(f"file has {len(head)} bytes, header needs {_HEADER.size}")
+        magic, version, order, dtype, reserved = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise UnsupportedVersionError(f"version {version}, expected {FORMAT_VERSION}")
+        if dtype not in (DTYPE_REAL, DTYPE_COMPLEX):
+            raise TensorFileError(f"unknown dtype byte {dtype}")
+        if reserved != 0:
+            raise TensorFileError(f"reserved byte must be 0, got {reserved}")
+        raw_dims = fh.read(_DIM.size * order)
+        if len(raw_dims) < _DIM.size * order:
+            size = _HEADER.size + len(raw_dims)
+            raise TruncatedPayloadError(f"file ends inside the dims block ({size} bytes)")
+        dims = struct.unpack(f"<{order}Q", raw_dims)
+        cells = math.prod(dims)
+        if cells > _MAX_FILE_CELLS:
+            raise DimsOverflowError(f"dims {dims} declare {cells} cells, over {_MAX_FILE_CELLS}")
+        itemsize = 16 if dtype == DTYPE_COMPLEX else 8
+        expected = _HEADER.size + len(raw_dims) + cells * itemsize
+        regular = stat.S_ISREG(st.st_mode)
+        if regular and st.st_size != expected:
+            raise TruncatedPayloadError(
+                f"dims {dims} declare {expected} bytes, file has {st.st_size}"
+            )
+        # read(n) allocates n bytes up front, so n must be a checked size.
+        payload = fh.read(cells * itemsize if regular else -1)
+    size = _HEADER.size + len(raw_dims) + len(payload)
+    if size != expected:
+        raise TruncatedPayloadError(f"dims {dims} declare {expected} bytes, file has {size}")
+    values = np.frombuffer(payload, dtype="<c16" if dtype == DTYPE_COMPLEX else "<f8")
     if dtype == DTYPE_COMPLEX:
         return ComplexTensor(dims, values)
     return DenseTensor(dims, values)

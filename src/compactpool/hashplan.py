@@ -25,7 +25,6 @@ __all__ = [
     "PlanFormatError",
     "SketchPlan",
     "build_plan",
-    "compose_diag",
     "compose_sum",
     "derive_seed",
     "image_text_plans",
@@ -262,42 +261,6 @@ def compose_sum(px: SketchPlan, py: SketchPlan) -> SketchPlan:
     signs = (sx[:, None] * sy[None, :]).ravel()
     mode = ModeHash(hx.size * hy.size, d, hashes, signs)
     return SketchPlan((mode,), derive_seed(px.seed, "compose_sum", py.seed))
-
-
-def compose_diag(p_img: SketchPlan, p_txt: SketchPlan) -> SketchPlan:
-    """Plan for the flattened order-4 product of an order-3 tensor and a vector.
-
-    Cell (i, j, k, l) lands at ((h1(i)+h4(l)) mod d, (h2(j)+h4(l)) mod d,
-    (h3(k)+h4(l)) mod d) with sign s1 s2 s3 s4; realized as a single-mode plan
-    over the row-major flattened input onto a row-major flattened (d, d, d)
-    output.
-    """
-    if p_img.order != 3 or p_txt.order != 1:
-        raise ValueError("compose_diag needs an order-3 plan and an order-1 plan")
-    sizes = set(p_img.output_dims) | set(p_txt.output_dims)
-    if len(sizes) != 1:
-        raise ValueError(
-            f"all four output sizes must be equal, got {p_img.output_dims + p_txt.output_dims}"
-        )
-    d = sizes.pop()
-    (m1, m2, m3), m4 = p_img.modes, p_txt.modes[0]
-    h1 = m1.hash_table.reshape(-1, 1, 1, 1)
-    h2 = m2.hash_table.reshape(1, -1, 1, 1)
-    h3 = m3.hash_table.reshape(1, 1, -1, 1)
-    h4 = m4.hash_table.reshape(1, 1, 1, -1)
-    t1 = (h1 + h4) % d
-    t2 = (h2 + h4) % d
-    t3 = (h3 + h4) % d
-    flat = ((t1 * d + t2) * d + t3).ravel()
-    signs = (
-        m1.sign_table.reshape(-1, 1, 1, 1)
-        * m2.sign_table.reshape(1, -1, 1, 1)
-        * m3.sign_table.reshape(1, 1, -1, 1)
-        * m4.sign_table.reshape(1, 1, 1, -1)
-    ).ravel()
-    n = m1.input_size * m2.input_size * m3.input_size * m4.input_size
-    mode = ModeHash(n, d**3, flat, signs)
-    return SketchPlan((mode,), derive_seed(p_img.seed, "compose_diag", p_txt.seed))
 
 
 def save_plan(p: SketchPlan) -> str:

@@ -5,6 +5,7 @@ their count-sketches; mct combines the order-3 sketch of an image tensor with
 the sketch of a text vector through their spectra. Both expose a "time"
 variant (real output, inverse transform applied) and a "frequency" variant
 that keeps the complex spectral product and skips the inverse transform.
+Either variant raises ResidueError rather than return non-finite values.
 
 Plan seeds are derived deterministically from the config seed, so a single
 (config, inputs) pair reproduces the whole pipeline bit for bit.
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import hashplan
 from .sketch import count_sketch, md_sketch
-from .spectral import checked_real, indfft, ndfft
+from .spectral import checked_finite, checked_real, indfft, ndfft
 from .tensor import ComplexTensor, DenseTensor, pad_with_ones, stack_blocks
 
 __all__ = [
@@ -95,10 +96,11 @@ def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
         n1, n2 = x.dims[0], y.dims[0]
         x, y = pad_with_ones(x, n2), pad_with_ones(y, n1)
     px, py = hashplan.paired_vector_plans(x.dims[0], y.dims[0], d, cfg.seed)
-    fx = ndfft(count_sketch(x, px).data).values
-    fy = ndfft(count_sketch(y, py).data).values
+    fx = ndfft(count_sketch(x, px)).values
+    fy = ndfft(count_sketch(y, py)).values
     product = ComplexTensor((d,), fx * fy)
     if cfg.variant == "frequency":
+        checked_finite(product.values, "mcb")
         return PooledFeature(product, "frequency", cfg, (px, py))
     data = DenseTensor((d,), checked_real(indfft(product).values, "mcb"))
     return PooledFeature(data, "time", cfg, (px, py))
@@ -154,13 +156,14 @@ def _mct_blocks(
     block_dims = (stack.dims[0] // count, *stack.dims[1:])
     p_img, p_txt = hashplan.image_text_plans(block_dims, txt.dims[0], cfg.output_dims, cfg.seed)
     plan = p_img if count == 1 else _stacked_plan(p_img, count)
-    sketch = md_sketch(stack, plan).data
+    sketch = md_sketch(stack, plan)
     fx = ndfft(DenseTensor((count, d1, d2, d3), sketch.values), batched=True).array
-    fw = ndfft(count_sketch(txt, p_txt).data).values
+    fw = ndfft(count_sketch(txt, p_txt)).values
     idx = np.indices((d1, d2, d3)).sum(axis=0) % d4
     product = ComplexTensor((count, d1, d2, d3), fx * fw[idx])
     plans = (p_img, p_txt)
     if cfg.variant == "frequency":
+        checked_finite(product.values, "mct")
         return [
             PooledFeature(ComplexTensor((d1, d2, d3), block), "frequency", cfg, plans)
             for block in product.array
@@ -187,7 +190,7 @@ def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTe
     plans = hashplan.repeated_vector_plans(x.dims[0], d, degree, seed)
     spectrum = np.ones(d, dtype=np.complex128)
     for p in plans:
-        spectrum = spectrum * ndfft(count_sketch(x, p).data).values
+        spectrum = spectrum * ndfft(count_sketch(x, p)).values
     values = checked_real(indfft(ComplexTensor((d,), spectrum)).values, "polynomial_sketch")
     return DenseTensor((d,), values)
 

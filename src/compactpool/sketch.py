@@ -2,13 +2,13 @@
 
 count_sketch projects a length-n vector into d signed buckets; md_sketch does
 the same per mode of an order-N tensor, keeping tensor order and spatial
-structure. Both are linear maps and cost one pass over the input entries.
+structure. Both are linear maps, cost one pass over the input entries, and
+return the sketch as a DenseTensor shaped like the plan's output dims.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +17,6 @@ from .hashplan import SketchPlan
 from .tensor import DenseTensor
 
 __all__ = [
-    "SketchOutput",
     "aggregate_estimates",
     "count_sketch",
     "decode_estimate",
@@ -25,21 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SketchOutput:
-    """Sketched tensor plus the plan that produced it."""
-
-    data: DenseTensor
-    plan: SketchPlan
-
-    def __post_init__(self) -> None:
-        if self.data.dims != self.plan.output_dims:
-            raise ValueError(
-                f"data dims {self.data.dims} do not match plan output {self.plan.output_dims}"
-            )
-
-
-def count_sketch(v: DenseTensor, p: SketchPlan) -> SketchOutput:
+def count_sketch(v: DenseTensor, p: SketchPlan) -> DenseTensor:
     """Scatter a vector into signed buckets: w(t) = sum over h(i)=t of s(i) v(i)."""
     if v.order != 1:
         raise ValueError(f"count_sketch needs an order-1 tensor, got order {v.order}")
@@ -50,10 +35,10 @@ def count_sketch(v: DenseTensor, p: SketchPlan) -> SketchOutput:
         raise ValueError(f"size mismatch: vector {v.dims[0]}, plan {mode.input_size}")
     w = np.zeros(mode.output_size)
     np.add.at(w, mode.hash_table, mode.sign_table * v.values)
-    return SketchOutput(DenseTensor((mode.output_size,), w), p)
+    return DenseTensor((mode.output_size,), w)
 
 
-def md_sketch(t: DenseTensor, p: SketchPlan) -> SketchOutput:
+def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:
     """Per-mode signed scatter of an order-N tensor.
 
     X(t1..tN) = sum over all input cells whose per-mode hashes hit (t1..tN) of
@@ -73,22 +58,21 @@ def md_sketch(t: DenseTensor, p: SketchPlan) -> SketchOutput:
         sign = sign * mode.sign_table.reshape(shape)
     out = np.zeros(math.prod(p.output_dims))
     np.add.at(out, flat.ravel(), (sign * t.array).ravel())
-    return SketchOutput(DenseTensor(p.output_dims, out), p)
+    return DenseTensor(p.output_dims, out)
 
 
-def decode_estimate(s: SketchOutput, p: SketchPlan, index: Sequence[int]) -> float:
+def decode_estimate(sketch: DenseTensor, p: SketchPlan, index: Sequence[int]) -> float:
     """Single-sketch element estimate: (prod of signs at index) * X(hashed index).
 
+    sketch is the output of p, so its dims must equal p's output dims.
     Unbiased for the true element over random plans; average estimates from
     independent plans with aggregate_estimates to cut variance.
     """
     idx = tuple(int(i) for i in index)
     if len(idx) != p.order:
         raise IndexError(f"index has {len(idx)} entries for an order-{p.order} plan")
-    if s.data.dims != p.output_dims:
-        raise ValueError(
-            f"sketch dims {s.data.dims} do not match plan output {p.output_dims}"
-        )
+    if sketch.dims != p.output_dims:
+        raise ValueError(f"sketch dims {sketch.dims} do not match plan output {p.output_dims}")
     for i, mode in zip(idx, p.modes):
         if not 0 <= i < mode.input_size:
             raise IndexError(f"index {idx} out of range for input dims {p.input_dims}")
@@ -97,7 +81,7 @@ def decode_estimate(s: SketchOutput, p: SketchPlan, index: Sequence[int]) -> flo
     for i, mode in zip(idx, p.modes):
         sign *= int(mode.sign_table[i])
         loc.append(int(mode.hash_table[i]))
-    return sign * float(s.data.array[tuple(loc)])
+    return sign * float(sketch.array[tuple(loc)])
 
 
 def aggregate_estimates(estimates: Sequence[float], strategy: str = "mean") -> float:

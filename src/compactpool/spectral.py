@@ -1,4 +1,4 @@
-"""N-dimensional Fourier transforms, a naive-DFT oracle, and circular convolution.
+"""N-dimensional Fourier transforms, a naive-DFT oracle, and the pooling exit checks.
 
 Convention: the forward transform is unnormalized and the inverse carries the
 1/prod(dims) factor, matching the convolution-theorem usage in the pooling
@@ -19,9 +19,8 @@ __all__ = [
     "RESIDUE_TOL",
     "OracleCapExceeded",
     "ResidueError",
+    "checked_finite",
     "checked_real",
-    "circular_convolve",
-    "diag_broadcast_convolve",
     "indfft",
     "naive_ndft",
     "ndfft",
@@ -37,7 +36,13 @@ class OracleCapExceeded(ValueError):
 
 
 class ResidueError(ArithmeticError):
-    """A nominally real result carried too large an imaginary part."""
+    """A result held non-finite values, or a nominally real one too large an imaginary part."""
+
+
+def checked_finite(values: np.ndarray, where: str) -> None:
+    """Fail if any value is NaN or infinite; the exit check of the frequency variants."""
+    if not np.isfinite(values).all():
+        raise ResidueError(f"{where}: result holds non-finite values")
 
 
 def checked_real(values: np.ndarray, where: str) -> np.ndarray:
@@ -46,10 +51,14 @@ def checked_real(values: np.ndarray, where: str) -> np.ndarray:
     NaN or infinite values fail too, rather than passing as a NaN norm.
     """
     total = np.linalg.norm(values)
-    # The norm also overflows for finite values above about 1e154.
-    if not np.isfinite(total) and not np.isfinite(values).all():
-        raise ResidueError(f"{where}: result holds non-finite values")
-    residue = np.linalg.norm(values.imag)
+    scaled = values
+    if not np.isfinite(total):
+        checked_finite(values, where)
+        # The norm overflows for finite values above about 1e154: compare the
+        # norms of the values scaled by their largest component instead.
+        scaled = values / max(np.abs(values.real).max(), np.abs(values.imag).max())
+        total = np.linalg.norm(scaled)
+    residue = np.linalg.norm(scaled.imag)
     if residue > RESIDUE_TOL * total:
         raise ResidueError(
             f"{where}: imaginary residue {residue:.3e} exceeds {RESIDUE_TOL} of norm {total:.3e}"
@@ -57,10 +66,13 @@ def checked_real(values: np.ndarray, where: str) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-def _transform_axes(t: DenseTensor | ComplexTensor, batched: bool) -> tuple[int, ...]:
+def _transform(t: DenseTensor | ComplexTensor, batched: bool, fft) -> ComplexTensor:
     if batched and t.order < 2:
         raise ValueError(f"a batched transform needs order >= 2, got order {t.order}")
-    return tuple(range(int(batched), t.order))
+    arr = np.asarray(t.array, dtype=np.complex128)
+    if t.order == 0:
+        return ComplexTensor((), arr.reshape(-1))
+    return ComplexTensor(t.dims, fft(arr, axes=tuple(range(int(batched), t.order))).ravel())
 
 
 def ndfft(t: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTensor:
@@ -69,11 +81,7 @@ def ndfft(t: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTenso
     With batched, mode 0 indexes independent blocks and is not transformed:
     each block comes out as ndfft of that block alone.
     """
-    axes = _transform_axes(t, batched)
-    arr = np.asarray(t.array, dtype=np.complex128)
-    if t.order == 0:
-        return ComplexTensor((), arr.reshape(-1))
-    return ComplexTensor(t.dims, np.fft.fftn(arr, axes=axes).ravel())
+    return _transform(t, batched, np.fft.fftn)
 
 
 def indfft(f: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTensor:
@@ -81,11 +89,7 @@ def indfft(f: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTens
 
     batched leaves mode 0 untransformed, as in ndfft.
     """
-    axes = _transform_axes(f, batched)
-    arr = np.asarray(f.array, dtype=np.complex128)
-    if f.order == 0:
-        return ComplexTensor((), arr.reshape(-1))
-    return ComplexTensor(f.dims, np.fft.ifftn(arr, axes=axes).ravel())
+    return _transform(f, batched, np.fft.ifftn)
 
 
 def naive_ndft(t: DenseTensor | ComplexTensor, cap: int = ORACLE_CAP) -> ComplexTensor:
@@ -109,33 +113,3 @@ def naive_ndft(t: DenseTensor | ComplexTensor, cap: int = ORACLE_CAP) -> Complex
             grid = np.multiply.outer(grid, mats[m][fidx[m]])
         out[fidx] = (arr * grid).sum()
     return ComplexTensor(t.dims, out.ravel())
-
-
-def circular_convolve(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Cyclic convolution c(t) = sum_m a((t - m) mod d) b(m), via the frequency domain."""
-    if a.order != 1 or b.order != 1:
-        raise ValueError("circular_convolve needs two order-1 tensors")
-    if a.dims != b.dims:
-        raise ValueError(f"length mismatch: {a.dims[0]} vs {b.dims[0]}")
-    product = ComplexTensor(a.dims, ndfft(a).values * ndfft(b).values)
-    return DenseTensor(a.dims, checked_real(indfft(product).values, "circular_convolve"))
-
-
-def diag_broadcast_convolve(x: DenseTensor, w: DenseTensor) -> DenseTensor:
-    """Convolve an order-3 tensor with a vector along the (1, 1, 1) diagonal.
-
-    Z(t1, t2, t3) = sum_m X((t1-m) mod d, (t2-m) mod d, (t3-m) mod d) w(m);
-    computed as the inverse transform of ndfft(X)(f1, f2, f3) times
-    ndfft(w)((f1+f2+f3) mod d). All four sizes must equal d.
-    """
-    if x.order != 3 or w.order != 1:
-        raise ValueError("diag_broadcast_convolve needs an order-3 tensor and a vector")
-    sizes = set(x.dims) | set(w.dims)
-    if len(sizes) != 1:
-        raise ValueError(f"all four sizes must be equal, got {x.dims + w.dims}")
-    d = sizes.pop()
-    fx = ndfft(x).array
-    fw = ndfft(w).values
-    idx = np.indices((d, d, d)).sum(axis=0) % d
-    z = ComplexTensor(x.dims, (fx * fw[idx]).ravel())
-    return DenseTensor(x.dims, checked_real(indfft(z).values, "diag_broadcast_convolve"))

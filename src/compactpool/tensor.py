@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,22 +43,21 @@ def _checked_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class DenseTensor:
-    """Real-valued tensor of arbitrary order.
+_T = TypeVar("_T", bound="_Tensor")
 
-    ``dims`` is the shape; ``values`` holds exactly prod(dims) float64 entries
-    flattened row-major. Order 0 is a scalar: empty dims, one value.
-    """
+
+@dataclass(frozen=True, eq=False)
+class _Tensor:
+    """Shared body of the tensor classes; each subclass fixes ``_dtype``."""
 
     dims: tuple[int, ...]
     values: np.ndarray
 
+    _dtype: ClassVar[type]
+
     def __post_init__(self) -> None:
         dims = _checked_dims(self.dims)
-        if np.iscomplexobj(self.values):
-            raise ValueError("DenseTensor holds real values; use ComplexTensor")
-        values = np.array(self.values, dtype=np.float64).reshape(-1)
+        values = np.array(self.values, dtype=self._dtype).reshape(-1)
         if values.size != math.prod(dims):
             raise ValueError(
                 f"got {values.size} values for dims {dims} (need {math.prod(dims)})"
@@ -68,18 +67,9 @@ class DenseTensor:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_array(cls, arr) -> "DenseTensor":
-        a = np.asarray(arr, dtype=np.float64)
+    def from_array(cls: type[_T], arr) -> _T:
+        a = np.asarray(arr, dtype=cls._dtype)
         return cls(a.shape, a.reshape(-1))
-
-    @classmethod
-    def vector(cls, values) -> "DenseTensor":
-        v = np.asarray(values, dtype=np.float64).reshape(-1)
-        return cls((v.size,), v)
-
-    @classmethod
-    def scalar(cls, value: float) -> "DenseTensor":
-        return cls((), np.array([value]))
 
     @property
     def order(self) -> int:
@@ -94,70 +84,52 @@ class DenseTensor:
         """Shaped read-only view of the flat values."""
         return self.values.reshape(self.dims)
 
+    def __getitem__(self, index) -> float | complex:
+        return self.array[index].item()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.values, other.values)
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if self.size <= 8:
+            return f"{name}(dims={self.dims}, values={self.values.tolist()})"
+        return f"{name}(dims={self.dims}, <{self.size} values>)"
+
+
+class DenseTensor(_Tensor):
+    """Real-valued tensor of arbitrary order.
+
+    ``dims`` is the shape; ``values`` holds exactly prod(dims) float64 entries
+    flattened row-major. Order 0 is a scalar: empty dims, one value.
+    """
+
+    _dtype = np.float64
+
+    def __post_init__(self) -> None:
+        if np.iscomplexobj(self.values):
+            raise ValueError("DenseTensor holds real values; use ComplexTensor")
+        super().__post_init__()
+
+    @classmethod
+    def vector(cls, values) -> "DenseTensor":
+        v = np.asarray(values, dtype=np.float64).reshape(-1)
+        return cls((v.size,), v)
+
+    @classmethod
+    def scalar(cls, value: float) -> "DenseTensor":
+        return cls((), np.array([value]))
+
     def flattened(self) -> "DenseTensor":
         return DenseTensor((self.size,), self.values)
 
-    def __getitem__(self, index) -> float:
-        return float(self.array[index])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.values, other.values)
-
-    def __repr__(self) -> str:
-        if self.size <= 8:
-            return f"DenseTensor(dims={self.dims}, values={self.values.tolist()})"
-        return f"DenseTensor(dims={self.dims}, <{self.size} values>)"
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexTensor:
+class ComplexTensor(_Tensor):
     """Complex-valued tensor, same layout conventions as DenseTensor."""
 
-    dims: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        dims = _checked_dims(self.dims)
-        values = np.array(self.values, dtype=np.complex128).reshape(-1)
-        if values.size != math.prod(dims):
-            raise ValueError(
-                f"got {values.size} values for dims {dims} (need {math.prod(dims)})"
-            )
-        values.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_array(cls, arr) -> "ComplexTensor":
-        a = np.asarray(arr, dtype=np.complex128)
-        return cls(a.shape, a.reshape(-1))
-
-    @property
-    def order(self) -> int:
-        return len(self.dims)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.values.reshape(self.dims)
-
-    def __getitem__(self, index) -> complex:
-        return complex(self.array[index])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexTensor):
-            return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.values, other.values)
-
-    def __repr__(self) -> str:
-        if self.size <= 8:
-            return f"ComplexTensor(dims={self.dims}, values={self.values.tolist()})"
-        return f"ComplexTensor(dims={self.dims}, <{self.size} values>)"
+    _dtype = np.complex128
 
 
 def outer_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:

@@ -271,6 +271,23 @@ def test_pool_overflow_fails_the_residue_check(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, a_value, dims", [
+    ("mcb", [1e308], "1"),
+    ("mct", [[[1e308]]], "2,2,2,3"),
+])
+def test_pool_frequency_overflow_fails(tmp_path, capsys, mode, a_value, dims):
+    # The frequency variants skip checked_real, so they need their own exit check.
+    a, b = tmp_path / "a.tsk", tmp_path / "b.tsk"
+    write_tensor(DenseTensor.from_array(a_value), a)
+    write_tensor(DenseTensor.vector([1e308]), b)
+    out = tmp_path / "z.tsk"
+    rc = main(["pool", "--mode", mode, "--a", str(a), "--b", str(b), "--dims", dims,
+               "--variant", "freq", "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pool_out_of_memory_is_exit_2(tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError()

@@ -2,6 +2,8 @@ import csv
 import errno
 import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +125,40 @@ def test_dims_overflow(tmp_path):
     path.write_bytes(header + dims)
     with pytest.raises(DimsOverflowError):
         read_tensor(path)
+
+
+def test_size_is_checked_before_the_payload_is_read(tmp_path):
+    path = tmp_path / "huge.tsk"
+    path.write_bytes(struct.pack("<4sBBBBQ", b"TSK1", 1, 1, 0, 0, 1))
+    os.truncate(path, 2**30)  # sparse: one cell declared, 1 GiB on record
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError, match="declare 24 bytes"):
+            read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_pipe_is_read_and_measured_by_reading(tmp_path):
+    t = DenseTensor.vector([1.0, -2.5])
+    write_tensor(t, tmp_path / "t.tsk")
+    data = (tmp_path / "t.tsk").read_bytes()
+    fifo = tmp_path / "fifo"
+    for payload, ok in ((data, True), (data + b"x", False), (data[:-1], False)):
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(payload,))
+        writer.start()
+        try:
+            if ok:
+                assert read_tensor(fifo) == t
+            else:
+                with pytest.raises(TruncatedPayloadError):
+                    read_tensor(fifo)
+        finally:
+            writer.join()
+            fifo.unlink()
 
 
 def test_unknown_dtype(tmp_path):

@@ -13,7 +13,6 @@ from compactpool.hashplan import (
     PlanFormatError,
     SketchPlan,
     build_plan,
-    compose_diag,
     compose_sum,
     derive_seed,
     load_plan,
@@ -125,64 +124,6 @@ def test_compose_sum_rejects_mismatched_outputs():
         compose_sum(build_plan([2], [4], 0), build_plan([2], [8], 0))
 
 
-def _plan3(h1, h2, h3, s1, s2, s3, d):
-    return SketchPlan(
-        (
-            ModeHash(len(h1), d, h1, s1),
-            ModeHash(len(h2), d, h2, s2),
-            ModeHash(len(h3), d, h3, s3),
-        ),
-        0,
-    )
-
-
-def test_compose_diag_single_cell_all_zero():
-    p_img = _plan3([0], [0], [0], [1], [1], [1], 2)
-    p_txt = _single([0], [1], 2)
-    comp = compose_diag(p_img, p_txt).modes[0]
-    # cell maps to (0, 0, 0) with sign +1
-    assert comp.hash_table.tolist() == [0]
-    assert comp.sign_table.tolist() == [1]
-    assert comp.output_size == 8
-
-
-def test_compose_diag_single_cell_wraps():
-    p_img = _plan3([1], [0], [0], [1], [1], [1], 2)
-    p_txt = _single([1], [1], 2)
-    comp = compose_diag(p_img, p_txt).modes[0]
-    # target is ((1+1) % 2, (0+1) % 2, (0+1) % 2) = (0, 1, 1), flat 3
-    assert comp.hash_table.tolist() == [(0 * 2 + 1) * 2 + 1]
-
-
-def test_compose_diag_matches_quadruple_loop():
-    d = 4
-    p_img = build_plan([2, 2, 2], [d, d, d], 55)
-    p_txt = build_plan([2], [d], 56)
-    comp = compose_diag(p_img, p_txt).modes[0]
-    (m1, m2, m3), m4 = p_img.modes, p_txt.modes[0]
-    flat = 0
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    t1 = (m1.hash_table[i] + m4.hash_table[l]) % d
-                    t2 = (m2.hash_table[j] + m4.hash_table[l]) % d
-                    t3 = (m3.hash_table[k] + m4.hash_table[l]) % d
-                    sign = (
-                        m1.sign_table[i] * m2.sign_table[j] * m3.sign_table[k] * m4.sign_table[l]
-                    )
-                    assert comp.hash_table[flat] == (t1 * d + t2) * d + t3
-                    assert comp.sign_table[flat] == sign
-                    flat += 1
-
-
-def test_compose_diag_rejects_unequal_outputs():
-    p_img = build_plan([2, 2, 2], [4, 4, 2], 0)
-    p_txt = build_plan([2], [4], 0)
-    with pytest.raises(ValueError, match="equal"):
-        compose_diag(p_img, p_txt)
-
-
 def test_compose_signs_multiply_exhaustively():
     px = build_plan([3], [4], 8)
     py = build_plan([3], [4], 9)
@@ -202,7 +143,7 @@ def test_loaded_plan_sketches_identically():
     p = build_plan([16], [8], 7)
     q = load_plan(save_plan(p))
     v = DenseTensor.vector(np.random.default_rng(0).standard_normal(16))
-    assert np.array_equal(count_sketch(v, p).data.values, count_sketch(v, q).data.values)
+    assert np.array_equal(count_sketch(v, p).values, count_sketch(v, q).values)
 
 
 def test_load_rejects_truncated_text():

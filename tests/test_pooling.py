@@ -17,7 +17,7 @@ from compactpool.pooling import (
     polynomial_sketch,
 )
 from compactpool.reference import mcb_oracle, mct_oracle
-from compactpool.sketch import SketchOutput, count_sketch, decode_estimate, md_sketch
+from compactpool.sketch import count_sketch, decode_estimate, md_sketch
 from compactpool.spectral import ResidueError, naive_ndft, ndfft
 from compactpool.tensor import ComplexTensor, DenseTensor, subdivide
 
@@ -129,12 +129,11 @@ def test_padded_mcb_recovers_all_blocks():
         if np.unique(composed.modes[0].hash_table).size != padded * padded:
             continue
         pooled = mcb(x, y, PoolingConfig((d,), "time", True, seed)).data
-        sk = SketchOutput(pooled, composed)
         for i in range(padded):
             for j in range(padded):
                 xi = x.values[i] if i < n1 else 1.0
                 yj = y.values[j] if j < n2 else 1.0
-                got = decode_estimate(sk, composed, (i * padded + j,))
+                got = decode_estimate(pooled, composed, (i * padded + j,))
                 assert abs(got - xi * yj) <= 1e-9
         return
     raise AssertionError("no injective composed draw found")
@@ -189,8 +188,8 @@ def test_mct_frequency_allows_unequal_dims():
     assert out.data.dims == dims[:3]
     # literal index rule, rebuilt from naive transforms of the two sketches
     p_img, p_txt = out.plans
-    fx = naive_ndft(md_sketch(img, p_img).data).array
-    fw = naive_ndft(count_sketch(txt, p_txt).data).values
+    fx = naive_ndft(md_sketch(img, p_img)).array
+    fw = naive_ndft(count_sketch(txt, p_txt)).values
     for t1 in range(dims[0]):
         for t2 in range(dims[1]):
             for t3 in range(dims[2]):
@@ -224,7 +223,7 @@ def test_polynomial_degree_one_is_count_sketch():
     seed = 41
     got = polynomial_sketch(x, 1, 16, seed)
     (plan,) = repeated_vector_plans(8, 16, 1, seed)
-    want = count_sketch(x, plan).data
+    want = count_sketch(x, plan)
     assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from compactpool.hashplan import ModeHash, SketchPlan, build_plan
 from compactpool.sketch import (
-    SketchOutput,
     aggregate_estimates,
     count_sketch,
     decode_estimate,
@@ -28,13 +27,13 @@ def _injective_plan(input_dims, output_dims, start_seed=0):
 def test_count_sketch_hand_example():
     p = _single([0, 1, 0], [1, -1, 1], 2)
     out = count_sketch(DenseTensor.vector([1, 2, 3]), p)
-    assert out.data.values.tolist() == [4.0, -2.0]
+    assert out.values.tolist() == [4.0, -2.0]
 
 
 def test_count_sketch_zero_vector():
     p = build_plan([8], [4], 3)
     out = count_sketch(DenseTensor.vector(np.zeros(8)), p)
-    assert not out.data.values.any()
+    assert not out.values.any()
 
 
 def test_count_sketch_basis_vector():
@@ -43,7 +42,7 @@ def test_count_sketch_basis_vector():
     for i in range(8):
         e = np.zeros(8)
         e[i] = 1.0
-        out = count_sketch(DenseTensor.vector(e), p).data.values
+        out = count_sketch(DenseTensor.vector(e), p).values
         assert np.count_nonzero(out) == 1
         assert out[mode.hash_table[i]] == mode.sign_table[i]
 
@@ -64,7 +63,7 @@ def test_md_sketch_single_nonzero_cell():
     )
     arr = np.zeros((2, 2, 2))
     arr[1, 0, 1] = 2.0
-    out = md_sketch(DenseTensor.from_array(arr), p).data
+    out = md_sketch(DenseTensor.from_array(arr), p)
     # lands at (h1(1), h2(0), h3(1)) = (0, 1, 1) with sign -1*1*1
     expected = np.zeros((2, 2, 2))
     expected[0, 1, 1] = -2.0
@@ -74,7 +73,7 @@ def test_md_sketch_single_nonzero_cell():
 def test_md_sketch_reduces_to_count_sketch():
     p = build_plan([16], [4], 9)
     v = DenseTensor.vector(np.random.default_rng(9).standard_normal(16))
-    assert np.array_equal(md_sketch(v, p).data.values, count_sketch(v, p).data.values)
+    assert np.array_equal(md_sketch(v, p).values, count_sketch(v, p).values)
 
 
 def test_md_sketch_separates_rank_one_tensors():
@@ -84,12 +83,12 @@ def test_md_sketch_separates_rank_one_tensors():
     c = DenseTensor.vector(rng.standard_normal(5))
     t = outer_product(outer_product(a, b), c)
     plan = build_plan([3, 4, 5], [2, 3, 4], 31)
-    got = md_sketch(t, plan).data
+    got = md_sketch(t, plan)
 
     subs = [SketchPlan((m,), 0) for m in plan.modes]
-    sa = count_sketch(a, subs[0]).data
-    sb = count_sketch(b, subs[1]).data
-    sc = count_sketch(c, subs[2]).data
+    sa = count_sketch(a, subs[0])
+    sb = count_sketch(b, subs[1])
+    sc = count_sketch(c, subs[2])
     via_outer = outer_product(outer_product(sa, sb), sc)
     assert np.max(np.abs(got.values - via_outer.values)) <= 1e-12
 
@@ -120,7 +119,7 @@ def test_injective_hashes_embed_exactly():
     p = _injective_plan([3, 4], [8, 8])
     out = md_sketch(t, p)
     # multiset of absolute nonzero values is preserved
-    got = np.sort(np.abs(out.data.values[out.data.values != 0]))
+    got = np.sort(np.abs(out.values[out.values != 0]))
     want = np.sort(np.abs(t.values))
     assert np.array_equal(got, want)
     # and decoding recovers every element exactly
@@ -164,8 +163,8 @@ def test_inner_products_preserved_monte_carlo():
     estimates = np.empty(trials)
     for r in range(trials):
         p = build_plan([32], [8], r)
-        sx = count_sketch(x, p).data.values
-        sy = count_sketch(y, p).data.values
+        sx = count_sketch(x, p).values
+        sy = count_sketch(y, p).values
         estimates[r] = float(np.dot(sx, sy))
     truth = float(np.dot(x.values, y.values))
     assert abs(estimates.mean() - truth) <= 4 * estimates.std(ddof=1) / np.sqrt(trials)
@@ -177,17 +176,24 @@ def test_md_sketch_is_linear():
     a = rng.standard_normal((3, 3, 3))
     b = rng.standard_normal((3, 3, 3))
     alpha, beta = 0.7, -2.5
-    combo = md_sketch(DenseTensor.from_array(alpha * a + beta * b), p).data.values
-    separate = alpha * md_sketch(DenseTensor.from_array(a), p).data.values + beta * md_sketch(
+    combo = md_sketch(DenseTensor.from_array(alpha * a + beta * b), p).values
+    separate = alpha * md_sketch(DenseTensor.from_array(a), p).values + beta * md_sketch(
         DenseTensor.from_array(b), p
-    ).data.values
+    ).values
     assert np.max(np.abs(combo - separate)) <= 1e-12
 
 
-def test_sketch_output_validates_dims():
+def test_decode_rejects_a_sketch_of_another_shape():
     p = build_plan([4], [2], 0)
-    with pytest.raises(ValueError):
-        SketchOutput(DenseTensor.vector([1, 2, 3]), p)
+    with pytest.raises(ValueError, match="do not match plan output"):
+        decode_estimate(DenseTensor.vector([1, 2, 3]), p, (0,))
+
+
+def test_sketches_are_returned_as_dense_tensors():
+    v = count_sketch(DenseTensor.vector([1, 2, 3]), build_plan([3], [2], 0))
+    t = md_sketch(DenseTensor.from_array(np.ones((2, 3))), build_plan([2, 3], [4, 5], 0))
+    assert type(v) is DenseTensor and v.dims == (2,)
+    assert type(t) is DenseTensor and t.dims == (4, 5)
 
 
 def test_aggregate_estimates():

@@ -4,9 +4,8 @@ import pytest
 from compactpool.spectral import (
     OracleCapExceeded,
     ResidueError,
+    checked_finite,
     checked_real,
-    circular_convolve,
-    diag_broadcast_convolve,
     indfft,
     naive_ndft,
     ndfft,
@@ -97,82 +96,6 @@ def test_ndfft_is_linear():
     assert np.max(np.abs(combo - parts)) <= 1e-9 * max(np.linalg.norm(parts), 1.0)
 
 
-def test_convolve_delta_is_identity():
-    b = DenseTensor.vector([2.0, -1.0, 4.0])
-    out = circular_convolve(DenseTensor.vector([1, 0, 0]), b)
-    assert np.max(np.abs(out.values - b.values)) <= 1e-9
-
-
-def test_convolve_shift():
-    out = circular_convolve(DenseTensor.vector([0, 1]), DenseTensor.vector([3, 4]))
-    assert np.max(np.abs(out.values - np.array([4.0, 3.0]))) <= 1e-9
-
-
-def test_convolve_matches_double_loop():
-    rng = np.random.default_rng(16)
-    d = 16
-    a = rng.standard_normal(d)
-    b = rng.standard_normal(d)
-    expected = np.zeros(d)
-    for t in range(d):
-        for m in range(d):
-            expected[t] += a[(t - m) % d] * b[m]
-    got = circular_convolve(DenseTensor.vector(a), DenseTensor.vector(b)).values
-    assert np.max(np.abs(got - expected)) <= 1e-9
-
-
-def test_convolve_is_commutative():
-    rng = np.random.default_rng(5)
-    a = DenseTensor.vector(rng.standard_normal(8))
-    b = DenseTensor.vector(rng.standard_normal(8))
-    ab = circular_convolve(a, b).values
-    ba = circular_convolve(b, a).values
-    assert np.max(np.abs(ab - ba)) <= 1e-9
-
-
-def test_convolve_length_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        circular_convolve(DenseTensor.vector([1, 2]), DenseTensor.vector([1, 2, 3]))
-
-
-def test_diag_convolve_delta_is_identity():
-    rng = np.random.default_rng(6)
-    x = DenseTensor.from_array(rng.standard_normal((3, 3, 3)))
-    w = DenseTensor.vector([1, 0, 0])
-    out = diag_broadcast_convolve(x, w)
-    assert np.max(np.abs(out.values - x.values)) <= 1e-9
-
-
-def test_diag_convolve_shifts_along_diagonal():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((2, 2, 2))
-    out = diag_broadcast_convolve(DenseTensor.from_array(x), DenseTensor.vector([0, 1]))
-    expected = np.roll(x, shift=(1, 1, 1), axis=(0, 1, 2))
-    assert np.max(np.abs(out.array - expected)) <= 1e-9
-
-
-def test_diag_convolve_matches_quadruple_loop():
-    rng = np.random.default_rng(8)
-    d = 4
-    x = rng.standard_normal((d, d, d))
-    w = rng.standard_normal(d)
-    expected = np.zeros((d, d, d))
-    for t1 in range(d):
-        for t2 in range(d):
-            for t3 in range(d):
-                for m in range(d):
-                    expected[t1, t2, t3] += x[(t1 - m) % d, (t2 - m) % d, (t3 - m) % d] * w[m]
-    got = diag_broadcast_convolve(DenseTensor.from_array(x), DenseTensor.vector(w))
-    assert np.max(np.abs(got.array - expected)) <= 1e-9
-
-
-def test_diag_convolve_rejects_unequal_sizes():
-    with pytest.raises(ValueError, match="equal"):
-        diag_broadcast_convolve(
-            DenseTensor.from_array(np.zeros((2, 2, 2))), DenseTensor.vector([1, 0, 0])
-        )
-
-
 def test_checked_real_flags_large_residue():
     with pytest.raises(ResidueError):
         checked_real(np.array([1.0 + 0.5j]), "test")
@@ -187,9 +110,22 @@ def test_checked_real_refuses_non_finite_values(bad):
         checked_real(values, "here")
 
 
+def test_checked_finite_refuses_only_non_finite_values():
+    checked_finite(np.array([1e308 + 1e308j, 0.0]), "here")
+    with pytest.raises(ResidueError, match="here: result holds non-finite"):
+        checked_finite(np.array([1.0, complex(np.inf, 0.0)]), "here")
+
+
 def test_checked_real_passes_finite_values_whose_norm_overflows():
     values = np.array([1e200 + 0j, -1e200])
     assert checked_real(values, "here").tolist() == [1e200, -1e200]
+
+
+def test_checked_real_sees_a_residue_when_the_norm_overflows():
+    with pytest.raises(ResidueError, match="imaginary residue"):
+        checked_real(np.array([1e200 + 1e200j, 1.0]), "here")
+    with pytest.raises(ResidueError, match="imaginary residue"):
+        checked_real(np.array([1e308 + 1e308j, 1e308]), "here")
 
 
 def test_batched_transforms_act_on_each_block_alone():

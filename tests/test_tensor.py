@@ -209,6 +209,29 @@ def test_dense_rejects_complex_values():
         DenseTensor((2,), np.array([1 + 1j, 2 + 0j]))
 
 
+@pytest.mark.parametrize("cls, dtype", [(DenseTensor, np.float64), (ComplexTensor, np.complex128)])
+def test_both_tensor_classes_copy_freeze_and_convert(cls, dtype):
+    src = np.arange(6, dtype=dtype).reshape(2, 3)
+    t = cls.from_array(src)  # already the right dtype, so only the constructor can copy
+    src[0, 0] = 9.0
+    assert type(t) is cls and t.dims == (2, 3)
+    assert cls.from_array([[1, 2]]).values.dtype == dtype
+    assert t[0, 0] == 0.0 and t.order == 2 and t.size == 6
+    with pytest.raises(ValueError):
+        t.values[0] = 1.0
+    assert t == cls((2, 3), np.arange(6.0))
+    assert repr(t) == f"{cls.__name__}(dims=(2, 3), values={t.values.tolist()})"
+    assert repr(cls.from_array(np.zeros(9))) == f"{cls.__name__}(dims=(9,), <9 values>)"
+
+
+def test_dense_and_complex_tensors_never_compare_equal():
+    dense = DenseTensor.vector([1.0, 2.0])
+    same_numbers = ComplexTensor((2,), [1.0, 2.0])
+    assert dense != same_numbers
+    assert same_numbers != dense
+    assert dense.values.tolist() == same_numbers.values.tolist()
+
+
 def test_stack_blocks_orders_blocks_row_major():
     t = DenseTensor.from_array(np.arange(4 * 6 * 2, dtype=float).reshape(4, 6, 2))
     stacked = stack_blocks(t, (2, 3, 1))
