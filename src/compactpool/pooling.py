@@ -96,14 +96,19 @@ def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
         n1, n2 = x.dims[0], y.dims[0]
         x, y = pad_with_ones(x, n2), pad_with_ones(y, n1)
     px, py = hashplan.paired_vector_plans(x.dims[0], y.dims[0], d, cfg.seed)
-    fx = ndfft(count_sketch(x, px)).values
-    fy = ndfft(count_sketch(y, py)).values
-    product = ComplexTensor((d,), fx * fy)
+    fx, fy = _spectra([(x, px), (y, py)])
+    product = ComplexTensor._adopt((d,), fx * fy)
     if cfg.variant == "frequency":
         checked_finite(product.values, "mcb")
         return PooledFeature(product, "frequency", cfg, (px, py))
-    data = DenseTensor((d,), checked_real(indfft(product).values, "mcb"))
+    data = DenseTensor._adopt((d,), checked_real(indfft(product).values, "mcb"))
     return PooledFeature(data, "time", cfg, (px, py))
+
+
+def _spectra(pairs: Sequence[tuple[DenseTensor, hashplan.SketchPlan]]) -> np.ndarray:
+    """Spectra of the count-sketches of (vector, plan) pairs, from one batched transform."""
+    stack = np.stack([count_sketch(v, p).values for v, p in pairs])
+    return ndfft(DenseTensor._adopt(stack.shape, stack), batched=True).array
 
 
 def mct(img: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
@@ -142,7 +147,7 @@ def _mct_blocks(
     first two modes merged, so one block is just the image. All blocks share
     one image plan and one text plan; their sketches come from one scatter
     and their spectra from one transform each way. The residue check stays
-    per block.
+    per block. Frequency-variant blocks are views of one read-only stack.
     """
     if stack.order != 3 or txt.order != 1:
         raise ValueError("mct needs an order-3 tensor and a vector")
@@ -157,19 +162,21 @@ def _mct_blocks(
     p_img, p_txt = hashplan.image_text_plans(block_dims, txt.dims[0], cfg.output_dims, cfg.seed)
     plan = p_img if count == 1 else _stacked_plan(p_img, count)
     sketch = md_sketch(stack, plan)
-    fx = ndfft(DenseTensor((count, d1, d2, d3), sketch.values), batched=True).array
+    fx = ndfft(DenseTensor._adopt((count, d1, d2, d3), sketch.values), batched=True).array
     fw = ndfft(count_sketch(txt, p_txt)).values
-    idx = np.indices((d1, d2, d3)).sum(axis=0) % d4
-    product = ComplexTensor((count, d1, d2, d3), fx * fw[idx])
+    idx = (np.arange(d1)[:, None, None] + np.arange(d2)[:, None] + np.arange(d3)) % d4
+    product = ComplexTensor._adopt((count, d1, d2, d3), fx * fw[idx])
     plans = (p_img, p_txt)
     if cfg.variant == "frequency":
         checked_finite(product.values, "mct")
         return [
-            PooledFeature(ComplexTensor((d1, d2, d3), block), "frequency", cfg, plans)
+            PooledFeature(ComplexTensor._adopt((d1, d2, d3), block), "frequency", cfg, plans)
             for block in product.array
         ]
     return [
-        PooledFeature(DenseTensor((d1, d2, d3), checked_real(block, "mct")), "time", cfg, plans)
+        PooledFeature(
+            DenseTensor._adopt((d1, d2, d3), checked_real(block, "mct")), "time", cfg, plans
+        )
         for block in indfft(product, batched=True).array
     ]
 
@@ -189,10 +196,10 @@ def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTe
         raise ValueError(f"output size must be >= 1, got {d}")
     plans = hashplan.repeated_vector_plans(x.dims[0], d, degree, seed)
     spectrum = np.ones(d, dtype=np.complex128)
-    for p in plans:
-        spectrum = spectrum * ndfft(count_sketch(x, p)).values
-    values = checked_real(indfft(ComplexTensor((d,), spectrum)).values, "polynomial_sketch")
-    return DenseTensor((d,), values)
+    for s in _spectra([(x, p) for p in plans]):
+        spectrum = spectrum * s
+    values = checked_real(indfft(ComplexTensor._adopt((d,), spectrum)).values, "polynomial_sketch")
+    return DenseTensor._adopt((d,), values)
 
 
 def local_mct(
@@ -206,10 +213,12 @@ def local_mct(
     All blocks share one block-shaped image plan and one text plan (both
     derived from cfg.seed), so block outputs are directly comparable. Each
     block's feature equals mct of that block alone; all blocks are pooled in
-    one batched pass. Results come in row-major grid order.
+    one batched pass. Results come in row-major grid order. Frequency-variant
+    features are views of one shared read-only array, so keeping any of them
+    keeps all of it; time-variant features each own their values.
     """
     stacked = stack_blocks(img, block_dims)
     count, b1, b2, b3 = stacked.dims
     grid = tuple(full // b for full, b in zip(img.dims, (b1, b2, b3)))
-    stack = DenseTensor((count * b1, b2, b3), stacked.values)
+    stack = DenseTensor._adopt((count * b1, b2, b3), stacked.values)
     return list(zip(np.ndindex(*grid), _mct_blocks(stack, count, txt, cfg)))

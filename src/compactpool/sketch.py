@@ -33,9 +33,8 @@ def count_sketch(v: DenseTensor, p: SketchPlan) -> DenseTensor:
     mode = p.modes[0]
     if v.dims[0] != mode.input_size:
         raise ValueError(f"size mismatch: vector {v.dims[0]}, plan {mode.input_size}")
-    w = np.zeros(mode.output_size)
-    np.add.at(w, mode.hash_table, mode.sign_table * v.values)
-    return DenseTensor((mode.output_size,), w)
+    w = np.bincount(mode.hash_table, mode.sign_table * v.values, minlength=mode.output_size)
+    return DenseTensor._adopt((mode.output_size,), w)
 
 
 def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:
@@ -49,16 +48,14 @@ def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:
         raise ValueError(f"order mismatch: tensor {t.order}, plan {p.order}")
     if t.dims != p.input_dims:
         raise ValueError(f"size mismatch: tensor {t.dims}, plan {p.input_dims}")
-    flat = np.zeros(t.dims, dtype=np.int64)
-    sign = np.ones(t.dims, dtype=np.int64)
-    for m, mode in enumerate(p.modes):
-        shape = [1] * t.order
-        shape[m] = mode.input_size
-        flat = flat * mode.output_size + mode.hash_table.reshape(shape)
-        sign = sign * mode.sign_table.reshape(shape)
-    out = np.zeros(math.prod(p.output_dims))
-    np.add.at(out, flat.ravel(), (sign * t.array).ravel())
-    return DenseTensor(p.output_dims, out)
+    first, *rest = p.modes
+    flat, sign = first.hash_table, first.sign_table
+    for mode in rest:
+        flat = np.add.outer(flat * mode.output_size, mode.hash_table)
+        sign = np.multiply.outer(sign, mode.sign_table)
+    size = math.prod(p.output_dims)
+    out = np.bincount(flat.ravel(), (sign * t.array).ravel(), minlength=size)
+    return DenseTensor._adopt(p.output_dims, out)
 
 
 def decode_estimate(sketch: DenseTensor, p: SketchPlan, index: Sequence[int]) -> float:

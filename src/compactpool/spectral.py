@@ -50,7 +50,8 @@ def checked_real(values: np.ndarray, where: str) -> np.ndarray:
 
     NaN or infinite values fail too, rather than passing as a NaN norm.
     """
-    total = np.linalg.norm(values)
+    with np.errstate(over="ignore"):
+        total = np.linalg.norm(values)
     scaled = values
     if not np.isfinite(total):
         checked_finite(values, where)
@@ -66,13 +67,16 @@ def checked_real(values: np.ndarray, where: str) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-def _transform(t: DenseTensor | ComplexTensor, batched: bool, fft) -> ComplexTensor:
+def _transform(t: DenseTensor | ComplexTensor, batched: bool, fft, fftn) -> ComplexTensor:
     if batched and t.order < 2:
         raise ValueError(f"a batched transform needs order >= 2, got order {t.order}")
-    arr = np.asarray(t.array, dtype=np.complex128)
     if t.order == 0:
-        return ComplexTensor((), arr.reshape(-1))
-    return ComplexTensor(t.dims, fft(arr, axes=tuple(range(int(batched), t.order))).ravel())
+        return ComplexTensor._adopt((), t.values.astype(np.complex128))
+    if t.order - batched == 1:
+        out = fft(t.array)
+    else:
+        out = fftn(t.array, axes=tuple(range(int(batched), t.order)))
+    return ComplexTensor._adopt(t.dims, out)
 
 
 def ndfft(t: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTensor:
@@ -81,7 +85,7 @@ def ndfft(t: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTenso
     With batched, mode 0 indexes independent blocks and is not transformed:
     each block comes out as ndfft of that block alone.
     """
-    return _transform(t, batched, np.fft.fftn)
+    return _transform(t, batched, np.fft.fft, np.fft.fftn)
 
 
 def indfft(f: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTensor:
@@ -89,7 +93,7 @@ def indfft(f: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTens
 
     batched leaves mode 0 untransformed, as in ndfft.
     """
-    return _transform(f, batched, np.fft.ifftn)
+    return _transform(f, batched, np.fft.ifft, np.fft.ifftn)
 
 
 def naive_ndft(t: DenseTensor | ComplexTensor, cap: int = ORACLE_CAP) -> ComplexTensor:

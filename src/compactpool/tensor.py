@@ -1,9 +1,10 @@
 """Dense real and complex tensors with the structural operations sketching builds on.
 
-Tensors are immutable value objects: the backing array is copied and made
-read-only at construction, and every operation returns a fresh tensor. Values
-are 64-bit (complex128 for the complex variant), stored flat in row-major
-order with the last index varying fastest.
+Tensors are immutable value objects: the backing array is read-only, and
+every operation returns a fresh tensor. The public constructors copy what
+they are given; arrays the library has just allocated are adopted without a
+copy. Values are 64-bit (complex128 for the complex variant), stored flat in
+row-major order with the last index varying fastest.
 """
 
 from __future__ import annotations
@@ -57,14 +58,29 @@ class _Tensor:
 
     def __post_init__(self) -> None:
         dims = _checked_dims(self.dims)
-        values = np.array(self.values, dtype=self._dtype).reshape(-1)
+        values = np.array(self.values, dtype=self._dtype)
         if values.size != math.prod(dims):
             raise ValueError(
                 f"got {values.size} values for dims {dims} (need {math.prod(dims)})"
             )
         values.flags.writeable = False
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", values.reshape(-1))
+
+    @classmethod
+    def _adopt(cls: type[_T], dims: tuple[int, ...], values: np.ndarray) -> _T:
+        """Wrap an array the library has just allocated, without copying it.
+
+        The array is frozen in place, so it must not be shared with a caller;
+        freeze a whole stack before adopting blocks sliced from it.
+        """
+        if values.dtype != cls._dtype or values.size != math.prod(dims):
+            raise ValueError(f"cannot adopt {values.dtype} array of {values.size} values as {dims}")
+        values.flags.writeable = False
+        t = object.__new__(cls)
+        object.__setattr__(t, "dims", tuple(int(n) for n in dims))
+        object.__setattr__(t, "values", values.reshape(-1))
+        return t
 
     @classmethod
     def from_array(cls: type[_T], arr) -> _T:
@@ -151,7 +167,7 @@ def pad_with_ones(x: DenseTensor, pad_len: int) -> DenseTensor:
         raise ValueError(f"pad_with_ones needs an order-1 tensor, got order {x.order}")
     if pad_len < 0:
         raise ValueError(f"pad_len must be nonnegative, got {pad_len}")
-    return DenseTensor.vector(np.concatenate([x.values, np.ones(pad_len)]))
+    return DenseTensor._adopt((x.size + pad_len,), np.concatenate([x.values, np.ones(pad_len)]))
 
 
 def stack_blocks(t: DenseTensor, block_dims: Sequence[int]) -> DenseTensor:
@@ -172,7 +188,7 @@ def stack_blocks(t: DenseTensor, block_dims: Sequence[int]) -> DenseTensor:
     g1, g2, g3 = (full // b for full, b in zip(t.dims, bdims))
     b1, b2, b3 = bdims
     arr = t.array.reshape(g1, b1, g2, b2, g3, b3).transpose(0, 2, 4, 1, 3, 5)
-    return DenseTensor((g1 * g2 * g3, *bdims), arr.reshape(-1))
+    return DenseTensor._adopt((g1 * g2 * g3, *bdims), np.ascontiguousarray(arr))
 
 
 def subdivide(
@@ -181,12 +197,14 @@ def subdivide(
     """Tile an order-3 tensor into equal blocks.
 
     Returns (grid_coordinate, block) pairs in row-major grid order; see
-    stack_blocks for the rules on block_dims.
+    stack_blocks for the rules on block_dims. The blocks are views of one
+    shared read-only array, so keeping any of them keeps all of it.
     """
     stacked = stack_blocks(t, block_dims)
     bdims = stacked.dims[1:]
     grid = tuple(full // b for full, b in zip(t.dims, bdims))
-    return [(g, DenseTensor(bdims, block)) for g, block in zip(np.ndindex(*grid), stacked.array)]
+    blocks = stacked.array
+    return [(g, DenseTensor._adopt(bdims, b)) for g, b in zip(np.ndindex(*grid), blocks)]
 
 
 def reassemble(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from compactpool.hashplan import (
+    build_plan,
     compose_sum,
     derive_seed,
     paired_vector_plans,
@@ -18,8 +19,8 @@ from compactpool.pooling import (
 )
 from compactpool.reference import mcb_oracle, mct_oracle
 from compactpool.sketch import count_sketch, decode_estimate, md_sketch
-from compactpool.spectral import ResidueError, naive_ndft, ndfft
-from compactpool.tensor import ComplexTensor, DenseTensor, subdivide
+from compactpool.spectral import ResidueError, checked_real, indfft, naive_ndft, ndfft
+from compactpool.tensor import ComplexTensor, DenseTensor, pad_with_ones, stack_blocks, subdivide
 
 
 def _gauss_vec(n, seed):
@@ -346,3 +347,68 @@ def test_local_mct_rejects_bad_text():
     with pytest.raises(ValueError, match="vector"):
         local_mct(img, DenseTensor.from_array(np.zeros((2, 2))), (2, 2, 2),
                   PoolingConfig((2, 2, 2, 2), "time", False, 0))
+
+
+_CFG_MCT = PoolingConfig((2, 2, 2, 2), "time", False, 3)
+
+# The caller-wrapped inputs, and each library stage that wraps an array it allocated.
+_STAGES = {
+    "constructors": lambda x, y, im: [x, y, im],
+    "count_sketch": lambda x, y, im: [count_sketch(x, build_plan([6], [4], 1))],
+    "md_sketch": lambda x, y, im: [md_sketch(im, build_plan([4, 4, 2], [3, 2, 2], 1))],
+    "ndfft": lambda x, y, im: [ndfft(im), ndfft(x)],
+    "indfft": lambda x, y, im: [indfft(im, batched=True), indfft(x)],
+    "pad_with_ones": lambda x, y, im: [pad_with_ones(x, 3)],
+    "stack_blocks": lambda x, y, im: [stack_blocks(im, (2, 2, 1)), stack_blocks(im, (4, 4, 2))],
+    "subdivide": lambda x, y, im: [b for _, b in subdivide(im, (2, 2, 1))],
+    "mcb": lambda x, y, im: [
+        mcb(x, y, PoolingConfig((8,), variant, pad, 2)).data
+        for variant in ("time", "frequency") for pad in (False, True)
+    ],
+    "mct": lambda x, y, im: [
+        mct(im, y, _CFG_MCT).data,
+        mct(im, y, PoolingConfig((2, 3, 4, 5), "frequency", False, 2)).data,
+    ],
+    "polynomial_sketch": lambda x, y, im: [polynomial_sketch(x, deg, 8, 2) for deg in (1, 3)],
+    "local_mct": lambda x, y, im: [
+        f.data
+        for variant in ("time", "frequency")
+        for _, f in local_mct(im, y, (2, 2, 1), PoolingConfig((2, 2, 2, 2), variant, False, 3))
+    ],
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_STAGES))
+def test_results_are_read_only_and_share_no_caller_memory(stage):
+    rng = np.random.default_rng(91)
+    raw = [rng.standard_normal(6), rng.standard_normal(5), rng.standard_normal((4, 4, 2))]
+    x, y, im = DenseTensor.vector(raw[0]), DenseTensor.vector(raw[1]), DenseTensor.from_array(raw[2])
+    for t in _STAGES[stage](x, y, im):
+        assert not t.values.flags.writeable
+        assert t.values.base is None or not t.values.base.flags.writeable
+        assert not any(np.shares_memory(t.values, a) for a in raw)
+
+
+def test_mutating_a_caller_array_leaves_later_results_unchanged():
+    rng = np.random.default_rng(92)
+    vec, img = rng.standard_normal(4), rng.standard_normal((2, 2, 2))
+    x, im = DenseTensor.vector(vec), DenseTensor.from_array(img)
+    cfg = PoolingConfig((8,), "time", True, 5)
+    before = mcb(x, x, cfg).data.values.copy(), mct(im, x, _CFG_MCT).data.values.copy()
+    vec[:] = 7.0
+    img[:] = 7.0
+    assert np.array_equal(mcb(x, x, cfg).data.values, before[0])
+    assert np.array_equal(mct(im, x, _CFG_MCT).data.values, before[1])
+
+
+def test_stacked_forward_transforms_equal_separate_ndfft_calls():
+    x, y = _gauss_vec(7, 93), _gauss_vec(9, 94)
+    out = mcb(x, y, PoolingConfig((16,), "frequency", False, 4))
+    px, py = out.plans
+    separate = ndfft(count_sketch(x, px)).values * ndfft(count_sketch(y, py)).values
+    assert np.array_equal(out.data.values, separate)
+    spectrum = np.ones(16, dtype=np.complex128)
+    for p in repeated_vector_plans(7, 16, 3, 4):
+        spectrum = spectrum * ndfft(count_sketch(x, p)).values
+    want = checked_real(indfft(ComplexTensor((16,), spectrum)).values, "polynomial_sketch")
+    assert np.array_equal(polynomial_sketch(x, 3, 16, 4).values, want)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactpool.hashplan import ModeHash, SketchPlan, build_plan
 from compactpool.sketch import (
@@ -10,6 +14,7 @@ from compactpool.sketch import (
 )
 from compactpool.tensor import DenseTensor, outer_product
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 def _single(hashes, signs, d, seed=0):
     return SketchPlan((ModeHash(len(hashes), d, hashes, signs),), seed)
@@ -207,3 +212,50 @@ def test_aggregate_estimates():
         aggregate_estimates([], "mean")
     with pytest.raises(ValueError):
         aggregate_estimates([1.0], "mode")
+
+
+@st.composite
+def _sketch_cases(draw):
+    """A random plan of order 1-4 (every dim up to 8) and two random inputs for it."""
+    order = draw(st.integers(1, 4))
+    in_dims = draw(st.lists(st.integers(1, 8), min_size=order, max_size=order))
+    out_dims = draw(st.lists(st.integers(1, 8), min_size=order, max_size=order))
+    plan = build_plan(in_dims, out_dims, draw(st.integers(0, 2**64 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    u, v = (scale * rng.standard_normal(in_dims) for _ in range(2))
+    return plan, u, v
+
+
+def _sketch(arr, plan):
+    if plan.order == 1:
+        return count_sketch(DenseTensor.vector(arr), plan).values
+    return md_sketch(DenseTensor.from_array(arr), plan).values
+
+
+def _literal_scatter(arr, plan):
+    out = np.zeros(plan.output_dims)
+    for idx in np.ndindex(*arr.shape):
+        cell = tuple(int(m.hash_table[i]) for m, i in zip(plan.modes, idx))
+        out[cell] += math.prod(int(m.sign_table[i]) for m, i in zip(plan.modes, idx)) * arr[idx]
+    return out.ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sketch_cases())
+def test_sketches_equal_a_literal_per_cell_scatter(case):
+    # The scatter adds cells in row-major order, as the loop does, so the sums agree exactly.
+    plan, u, _ = case
+    want = _literal_scatter(u, plan)
+    assert np.array_equal(md_sketch(DenseTensor.from_array(u), plan).values, want)
+    if plan.order == 1:
+        assert np.array_equal(count_sketch(DenseTensor.vector(u), plan).values, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sketch_cases(), st.floats(-10, 10), st.floats(-10, 10))
+def test_sketches_are_linear(case, a, b):
+    plan, u, v = case
+    combo = _sketch(a * u + b * v, plan)
+    parts = a * _sketch(u, plan) + b * _sketch(v, plan)
+    assert np.max(np.abs(combo - parts)) <= 1e-9 * max(np.linalg.norm(parts), 1.0)

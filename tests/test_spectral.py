@@ -12,6 +12,8 @@ from compactpool.spectral import (
 )
 from compactpool.tensor import ComplexTensor, DenseTensor
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -139,3 +141,11 @@ def test_batched_transforms_act_on_each_block_alone():
         assert np.array_equal(back.array[g], indfft(ndfft(block)).array)
     with pytest.raises(ValueError, match="order"):
         ndfft(DenseTensor.vector([1.0, 2.0]), batched=True)
+
+
+def test_checked_real_keeps_norm_overflow_warnings_to_itself():
+    # Runs under the module's error::RuntimeWarning filter.
+    assert checked_real(np.array([1e200, -1e200]), "x").tolist() == [1e200, -1e200]
+    with pytest.raises(ResidueError, match="imaginary residue"):
+        checked_real(np.array([1e200 + 1e200j, 1.0]), "x")
+

@@ -13,6 +13,8 @@ from compactpool.tensor import (
     subdivide,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_outer_product_vector_pairs():
     a = DenseTensor.vector([1, 2])
@@ -244,3 +246,22 @@ def test_stack_blocks_orders_blocks_row_major():
         stack_blocks(t, (3, 3, 1))
     with pytest.raises(ValueError, match="order-3"):
         stack_blocks(DenseTensor.vector([1.0]), (1, 1, 1))
+
+
+def test_adopt_freezes_without_copying_and_refuses_a_wrong_array():
+    arr = np.arange(6.0).reshape(2, 3)
+    t = DenseTensor._adopt((3, 2), arr)
+    assert np.shares_memory(t.values, arr) and not arr.flags.writeable
+    assert t.dims == (3, 2) and t.values.shape == (6,)
+    with pytest.raises(ValueError, match="cannot adopt"):
+        DenseTensor._adopt((3,), np.zeros(3, dtype=np.complex128))
+    with pytest.raises(ValueError, match="cannot adopt"):
+        ComplexTensor._adopt((3,), np.zeros(3))
+    with pytest.raises(ValueError, match="cannot adopt"):
+        DenseTensor._adopt((2, 2), np.zeros(3))
+
+
+def test_pad_with_ones_gives_plain_int_dims():
+    padded = pad_with_ones(DenseTensor.vector([1.0, 2.0]), np.int64(2))
+    assert padded.dims == (4,) and all(type(n) is int for n in padded.dims)
+    assert repr(padded).count("int64") == 0
