@@ -10,17 +10,18 @@ rows and leave aggregation to the analyst.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import pooling, reference, selfcheck
 from .fileio import BenchRecord, read_tensor, write_csv, write_tensor
 from .hashplan import derive_seed
-from .spectral import ORACLE_CAP, ResidueError
+from .spectral import OracleCapExceeded, ResidueError
 from .tensor import DenseTensor, inner_product
 
 __all__ = ["entry", "main", "run_sweep"]
@@ -40,28 +41,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str, sep: str = ",") -> tuple[int, ...]:
+    """Parse a list of positive integers such as ``8,8`` or ``4x4x4``."""
     try:
-        dims = tuple(int(part) for part in text.split("x"))
+        out = tuple(int(part) for part in text.split(sep))
     except ValueError:
-        raise UsageError(f"bad shape {text!r}: expected integers separated by 'x'") from None
-    if not dims or any(d < 1 for d in dims):
-        raise UsageError(f"bad shape {text!r}: all dims must be >= 1")
-    return dims
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        out = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise UsageError(f"bad {what} {text!r}: expected comma-separated integers") from None
-    if not out or any(v < 1 for v in out):
+        raise UsageError(f"bad {what} {text!r}: expected integers separated by {sep!r}") from None
+    if any(v < 1 for v in out):
         raise UsageError(f"bad {what} {text!r}: all entries must be >= 1")
     return out
 
 
 def _cmd_gen(args) -> int:
-    dims = _parse_shape(args.shape)
+    dims = _parse_ints(args.shape, "shape", "x")
     rng = np.random.default_rng(args.seed % 2**64)
     n = int(np.prod(dims))
     values = rng.standard_normal(n) if args.dist == "gauss" else rng.random(n)
@@ -85,7 +77,7 @@ def _read_input(path) -> DenseTensor:
 
 def _cmd_pool(args) -> int:
     a = _read_input(args.a)
-    dims = _parse_int_list(args.dims, "--dims")
+    dims = _parse_ints(args.dims, "--dims")
     if args.pad and args.mode != "mcb":
         raise UsageError("--pad applies to mcb only")
     if args.mode == "poly":
@@ -104,7 +96,7 @@ def _cmd_pool(args) -> int:
         if args.b is None:
             raise UsageError(f"{args.mode} needs --b")
         b = _read_input(args.b)
-        cfg = pooling.PoolingConfig(tuple(dims), _variant(args.variant), args.pad, args.seed)
+        cfg = pooling.PoolingConfig(dims, _variant(args.variant), args.pad, args.seed)
         start = time.perf_counter_ns()
         feature = pooling.mcb(a, b, cfg) if args.mode == "mcb" else pooling.mct(a, b, cfg)
         elapsed = time.perf_counter_ns() - start
@@ -114,12 +106,48 @@ def _cmd_pool(args) -> int:
     return EXIT_OK
 
 
+def _bilinear(side1, side2, degree: int) -> float:
+    return inner_product(side1[0], side2[0]) * inner_product(side1[1], side2[1])
+
+
+class _Method(NamedTuple):
+    """What `bench` needs to know about one pooling method."""
+
+    size_form: str  # one --sizes entry; its 'x'-separated parts give the arity
+    shapes: Callable[..., tuple]  # size -> input shapes of one side of a trial
+    out_order: int  # a trial's config has output dims (d,) * out_order
+    pool: Callable[..., DenseTensor]  # (side, cfg, degree) -> pooled output
+    exact: Callable[..., float]  # (side1, side2, degree) -> exact inner product
+    oracle: Optional[Callable[..., DenseTensor]]  # (*side, d, seed) -> literal sketch
+    fields: tuple[str, ...]  # BenchRecord size fields, one per dim of one side's inputs
+
+
+_METHODS = {
+    "mcb": _Method(
+        "N", lambda n: ((n,), (n,)), 1,
+        lambda side, cfg, degree: pooling.mcb(*side, cfg).data,
+        _bilinear, reference.mcb_oracle, ("n1", "n2"),
+    ),
+    "mct": _Method(
+        "CxHxWxL", lambda c, h, w, l: ((c, h, w), (l,)), 4,
+        lambda side, cfg, degree: pooling.mct(*side, cfg).data,
+        _bilinear, reference.mct_oracle, ("C", "H", "W", "L"),
+    ),
+    "poly": _Method(
+        "N", lambda n: ((n,),), 1,
+        lambda side, cfg, degree: pooling.polynomial_sketch(
+            side[0], degree, cfg.output_dims[0], cfg.seed),
+        lambda side1, side2, degree: reference.kernel_oracle(side1[0], side2[0], degree),
+        None, ("n1",),
+    ),
+}
+
+
 def _bench_size(method: str, text: str) -> tuple[int, ...]:
-    dims = _parse_shape(text)
-    if method in ("mcb", "poly") and len(dims) != 1:
-        raise UsageError(f"{method} sizes are single integers, got {text!r}")
-    if method == "mct" and len(dims) != 4:
-        raise UsageError(f"mct sizes are CxHxWxL, got {text!r}")
+    dims = _parse_ints(text, "size", "x")
+    form = _METHODS[method].size_form
+    if len(dims) != form.count("x") + 1:
+        raise UsageError(f"{method} sizes are {form}, got {text!r}")
     return dims
 
 
@@ -134,92 +162,57 @@ def run_sweep(
     trials: int,
     seed: int,
     degree: int = 2,
-    oracle_cap: int = ORACLE_CAP,
 ) -> list[BenchRecord]:
     """Raw per-trial benchmark rows for one pooling method.
 
     Per (size, d, trial): rel_err_inner compares the sketched estimate of the
     exact bilinear/polynomial inner product against its true value,
     max_abs_err compares one pooled output against the definitional oracle
-    (only when the materialized product fits under the cap), runtime_ns times
-    the pooling call alone, and bytes records the output payload. Trial seeds
+    (only when the oracle accepts the size), runtime_ns times the first
+    pooling call alone, and bytes records the output payload. Trial seeds
     derive from (seed, trial), so trials are schedule-independent and inputs
     are paired across the d sweep.
     """
+    if method not in _METHODS:
+        raise UsageError(f"unknown method {method!r}")
+    spec = _METHODS[method]
     records: list[BenchRecord] = []
     for size in sizes:
+        shapes = spec.shapes(*size)
+        fields = dict(zip(spec.fields, (dim for shape in shapes for dim in shape)))
         for d in dims_sweep:
             for trial in range(trials):
                 tseed = derive_seed(seed, "trial", trial)
                 rng = np.random.default_rng(derive_seed(tseed, "inputs", *size))
-                if method == "mcb":
-                    n = size[0]
-                    x1, y1, x2, y2 = (DenseTensor.vector(rng.standard_normal(n)) for _ in range(4))
-                    cfg = pooling.PoolingConfig((d,), "time", False, tseed)
-                    start = time.perf_counter_ns()
-                    z1 = pooling.mcb(x1, y1, cfg)
-                    elapsed = time.perf_counter_ns() - start
-                    z2 = pooling.mcb(x2, y2, cfg)
-                    est = inner_product(z1.data, z2.data)
-                    exact = inner_product(x1, x2) * inner_product(y1, y2)
-                    sizes_kw = dict(n1=n, n2=n)
-                    max_abs = None
-                    if n * n <= oracle_cap:
-                        oracle = reference.mcb_oracle(x1, y1, d, tseed, cap=oracle_cap)
-                        max_abs = float(np.max(np.abs(z1.data.values - oracle.values)))
-                    out_bytes = z1.data.values.nbytes
-                elif method == "poly":
-                    n = size[0]
-                    x = DenseTensor.vector(rng.standard_normal(n))
-                    y = DenseTensor.vector(rng.standard_normal(n))
-                    start = time.perf_counter_ns()
-                    sx = pooling.polynomial_sketch(x, degree, d, tseed)
-                    elapsed = time.perf_counter_ns() - start
-                    sy = pooling.polynomial_sketch(y, degree, d, tseed)
-                    est = inner_product(sx, sy)
-                    exact = reference.kernel_oracle(x, y, degree)
-                    sizes_kw = dict(n1=n)
-                    max_abs = None
-                    out_bytes = sx.values.nbytes
-                elif method == "mct":
-                    c, h, w, l = size
-                    img1 = DenseTensor.from_array(rng.standard_normal((c, h, w)))
-                    txt1 = DenseTensor.vector(rng.standard_normal(l))
-                    img2 = DenseTensor.from_array(rng.standard_normal((c, h, w)))
-                    txt2 = DenseTensor.vector(rng.standard_normal(l))
-                    cfg = pooling.PoolingConfig((d, d, d, d), "time", False, tseed)
-                    start = time.perf_counter_ns()
-                    z1 = pooling.mct(img1, txt1, cfg)
-                    elapsed = time.perf_counter_ns() - start
-                    z2 = pooling.mct(img2, txt2, cfg)
-                    est = inner_product(z1.data, z2.data)
-                    exact = inner_product(img1, img2) * inner_product(txt1, txt2)
-                    sizes_kw = dict(C=c, H=h, W=w, L=l)
-                    max_abs = None
-                    if c * h * w * l <= oracle_cap:
-                        oracle = reference.mct_oracle(img1, txt1, d, tseed, cap=oracle_cap)
-                        max_abs = float(np.max(np.abs(z1.data.values - oracle.values)))
-                    out_bytes = z1.data.values.nbytes
-                else:
-                    raise UsageError(f"unknown method {method!r}")
-
-                def rec(metric: str, value: float) -> BenchRecord:
-                    return BenchRecord(
-                        method=method, d=d, trial=trial, seed=tseed,
-                        metric=metric, value=value, **sizes_kw,
-                    )
-
-                records.append(rec("rel_err_inner", _rel_err(est, exact)))
-                if max_abs is not None:
-                    records.append(rec("max_abs_err", max_abs))
-                records.append(rec("runtime_ns", elapsed))
-                records.append(rec("bytes", out_bytes))
+                side1, side2 = (
+                    [DenseTensor.from_array(rng.standard_normal(shape)) for shape in shapes]
+                    for _ in range(2)
+                )
+                cfg = pooling.PoolingConfig((d,) * spec.out_order, "time", False, tseed)
+                start = time.perf_counter_ns()
+                z1 = spec.pool(side1, cfg, degree)
+                elapsed = time.perf_counter_ns() - start
+                z2 = spec.pool(side2, cfg, degree)
+                exact = spec.exact(side1, side2, degree)
+                rows = [("rel_err_inner", _rel_err(inner_product(z1, z2), exact))]
+                try:
+                    oracle = spec.oracle(*side1, d, tseed) if spec.oracle else None
+                except OracleCapExceeded:
+                    oracle = None
+                if oracle is not None:
+                    rows.append(("max_abs_err", float(np.max(np.abs(z1.values - oracle.values)))))
+                rows += [("runtime_ns", elapsed), ("bytes", z1.values.nbytes)]
+                records.extend(
+                    BenchRecord(method=method, d=d, trial=trial, seed=tseed,
+                                metric=metric, value=value, **fields)
+                    for metric, value in rows
+                )
     return records
 
 
 def _cmd_bench(args) -> int:
     sizes = [_bench_size(args.method, part) for part in args.sizes.split(",")]
-    dims_sweep = _parse_int_list(args.dims_sweep, "--dims-sweep")
+    dims_sweep = _parse_ints(args.dims_sweep, "--dims-sweep")
     if args.trials < 0:
         raise UsageError(f"--trials must be >= 0, got {args.trials}")
     records = run_sweep(args.method, sizes, dims_sweep, args.trials, args.seed, args.degree)
@@ -229,7 +222,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    results = selfcheck.run_checks(args.seed, corrupt_mcb_signs=args.corrupt_mcb_signs)
+    results = selfcheck.run_checks(args.seed)
     if args.json:
         print(json.dumps(results))
     else:
@@ -243,7 +236,9 @@ def _cmd_selfcheck(args) -> int:
     return EXIT_OK if all(results.values()) else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parse_args leaves the parser unchanged."""
     parser = _Parser(prog="compactpool", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -267,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pool.set_defaults(func=_cmd_pool)
 
     bench = sub.add_parser("bench", help="sweep sketch sizes and emit raw CSV rows")
-    bench.add_argument("--method", required=True, choices=("mcb", "mct", "poly"))
+    bench.add_argument("--method", required=True, choices=tuple(_METHODS))
     bench.add_argument("--sizes", required=True, help="comma list: N (mcb, poly) or CxHxWxL (mct)")
     bench.add_argument("--dims-sweep", required=True, help="comma list of output sizes")
     bench.add_argument("--trials", type=int, required=True)
@@ -279,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("selfcheck", help="run the oracle-equivalence checks")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--json", action="store_true", help="emit per-check booleans as JSON")
-    check.add_argument("--corrupt-mcb-signs", action="store_true", help=argparse.SUPPRESS)
     check.set_defaults(func=_cmd_selfcheck)
 
     return parser
@@ -290,12 +284,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
-    except ValueError as e:  # library contract violations
+    except ValueError as e:  # usage errors and library contract violations
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ResidueError as e:

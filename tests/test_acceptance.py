@@ -10,15 +10,18 @@ import io
 import time
 
 import numpy as np
+import pytest
 
 from compactpool.cli import main, run_sweep
 from compactpool.fileio import BenchRecord, write_csv
-from compactpool.hashplan import build_plan, compose_sum, derive_seed, paired_vector_plans
-from compactpool.pooling import PoolingConfig, mcb, mct, polynomial_sketch
-from compactpool.reference import kernel_oracle, mcb_oracle, mct_oracle
+from compactpool.hashplan import build_plan, derive_seed
+from compactpool.pooling import PoolingConfig, mcb, polynomial_sketch
+from compactpool.reference import kernel_oracle, mcb_oracle
+from compactpool.selfcheck import fft_errors, mcb_error, mct_error, padding_error
 from compactpool.sketch import count_sketch, decode_estimate
-from compactpool.spectral import indfft, naive_ndft, ndfft
 from compactpool.tensor import DenseTensor
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -40,9 +43,7 @@ def test_criterion_1_mcb_identity():
         seed = int(rng.integers(0, 2**32))
         x = DenseTensor.vector(rng.standard_normal(n1))
         y = DenseTensor.vector(rng.standard_normal(n2))
-        fast = mcb(x, y, PoolingConfig((d,), "time", False, seed)).data
-        slow = mcb_oracle(x, y, d, seed)
-        worst = max(worst, float(np.max(np.abs(fast.values - slow.values))))
+        worst = max(worst, mcb_error(x, y, d, seed))
     elapsed = time.perf_counter() - start
     _report(1, "mcb identity", worst <= 1e-9 and elapsed < 10.0,
             f"max abs err {worst:.2e} over 100 cases in {elapsed:.1f}s")
@@ -58,9 +59,7 @@ def test_criterion_2_mct_identity():
         seed = int(rng.integers(0, 2**32))
         img = DenseTensor.from_array(rng.standard_normal((c, h, w)))
         txt = DenseTensor.vector(rng.standard_normal(l))
-        fast = mct(img, txt, PoolingConfig((d, d, d, d), "time", False, seed)).data
-        slow = mct_oracle(img, txt, d, seed)
-        worst = max(worst, float(np.max(np.abs(fast.values - slow.values))))
+        worst = max(worst, mct_error(img, txt, d, seed))
     elapsed = time.perf_counter() - start
     _report(2, "mct identity", worst <= 1e-9 and elapsed < 30.0,
             f"max abs err {worst:.2e} over 50 cases in {elapsed:.1f}s")
@@ -73,18 +72,9 @@ def test_criterion_3_fft_matches_naive():
     for case in range(50):
         order = case % 3 + 1
         dims = tuple(int(v) for v in rng.integers(1, 17, size=order))
-        t = DenseTensor.from_array(rng.standard_normal(dims))
-        fast = ndfft(t)
-        slow = naive_ndft(t)
-        worst_fwd = max(
-            worst_fwd,
-            float(np.linalg.norm(fast.values - slow.values) / np.linalg.norm(slow.values)),
-        )
-        back = indfft(fast)
-        worst_inv = max(
-            worst_inv,
-            float(np.linalg.norm(back.values - t.values) / np.linalg.norm(t.values)),
-        )
+        fwd, inv = fft_errors(DenseTensor.from_array(rng.standard_normal(dims)))
+        worst_fwd = max(worst_fwd, fwd)
+        worst_inv = max(worst_inv, inv)
     ok = worst_fwd <= 1e-9 and worst_inv <= 1e-9
     _report(3, "fft vs naive dft", ok,
             f"forward rel err {worst_fwd:.2e}, round-trip rel err {worst_inv:.2e}")
@@ -201,24 +191,12 @@ def test_criterion_9_padding_recovery():
     rng = np.random.default_rng(9)
     x = DenseTensor.vector(rng.standard_normal(n1))
     y = DenseTensor.vector(rng.standard_normal(n2))
-    padded = n1 + n2
-    found = False
-    worst = float("inf")
     for attempt in range(1000):
-        seed = derive_seed(9, "padding", attempt)
-        composed = compose_sum(*paired_vector_plans(padded, padded, d, seed))
-        if np.unique(composed.modes[0].hash_table).size != padded * padded:
-            continue
-        found = True
-        pooled = mcb(x, y, PoolingConfig((d,), "time", True, seed)).data
-        worst = 0.0
-        for i in range(padded):
-            for j in range(padded):
-                xi = x.values[i] if i < n1 else 1.0
-                yj = y.values[j] if j < n2 else 1.0
-                got = decode_estimate(pooled, composed, (i * padded + j,))
-                worst = max(worst, abs(got - xi * yj))
-        break
+        worst = padding_error(x, y, d, derive_seed(9, "padding", attempt))
+        if worst is not None:
+            break
+    found = worst is not None
+    worst = worst if found else float("inf")
     _report(9, "padding recovery", found and worst <= 1e-9,
             f"worst decode err {worst:.2e} (injective draw at attempt {attempt})")
 

@@ -1,13 +1,20 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from compactpool import pooling
+from compactpool import pooling, spectral
 from compactpool.cli import main, run_sweep
 from compactpool.fileio import read_tensor, write_tensor
+from compactpool.hashplan import derive_seed
+from compactpool.selfcheck import fft_errors, mcb_error, mct_error, padding_error
 from compactpool.tensor import ComplexTensor, DenseTensor
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+ROWS_FIXTURE = Path(__file__).parent / "data" / "run_sweep_rows.csv"
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -180,6 +187,37 @@ def test_bench_mct_and_poly_smoke(tmp_path):
     assert rc == 0
 
 
+def test_run_sweep_rows_match_the_fixture():
+    # The fixture pins rows from one size under and one over each oracle cap;
+    # runtime_ns values are timings and are not compared.
+    records = (
+        run_sweep("mcb", [(16,), (257,)], [8, 64], trials=2, seed=5)
+        + run_sweep("poly", [(8,), (300,)], [16], trials=2, seed=6, degree=3)
+        + run_sweep("mct", [(2, 3, 2, 4), (4, 4, 4, 1025)], [4], trials=2, seed=7)
+    )
+    with open(ROWS_FIXTURE, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(records) == len(rows)
+    for rec, row in zip(records, rows):
+        value = row.pop("value")
+        assert {k: "" if v is None else str(v) for k, v in vars(rec).items() if k != "value"} == row
+        if rec.metric != "runtime_ns":
+            assert rec.value == pytest.approx(float(value), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("method, size, has_oracle_row", [
+    ("mcb", (256,), True),
+    ("mcb", (257,), False),
+    ("mct", (4, 4, 4, 1024), True),
+    ("mct", (4, 4, 4, 1025), False),
+])
+def test_run_sweep_emits_max_abs_err_exactly_under_the_oracle_cap(method, size, has_oracle_row):
+    records = run_sweep(method, [size], [2], trials=1, seed=1)
+    abs_rows = [r for r in records if r.metric == "max_abs_err"]
+    assert len(abs_rows) == has_oracle_row
+    assert all(r.value <= 1e-9 for r in abs_rows)
+
+
 def test_run_sweep_errors_shrink_with_dim():
     records = run_sweep("mcb", [(64,)], [4, 256], trials=40, seed=3)
     by_dim = {}
@@ -204,11 +242,62 @@ def test_selfcheck_multiple_seeds():
     assert main(["selfcheck", "--seed", "100"]) == 0
 
 
-def test_selfcheck_corruption_is_detected(capsys):
-    rc = main(["selfcheck", "--corrupt-mcb-signs"])
+def _nudged(t):
+    return type(t)(t.dims, t.values + 1e-3)
+
+
+def _corrupt_pooling(monkeypatch, name, padded_only=False):
+    real = getattr(pooling, name)
+
+    def corrupted(a, b, cfg):
+        feature = real(a, b, cfg)
+        if padded_only and not cfg.pad_with_ones:
+            return feature
+        return pooling.PooledFeature(_nudged(feature.data), feature.domain, cfg, feature.plans)
+
+    monkeypatch.setattr(pooling, name, corrupted)
+
+
+def _selfcheck_fails(capsys, check):
+    rc = main(["selfcheck"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "FAIL mcb-identity" in out
+    assert f"FAIL {check}" in out
+    return out
+
+
+def _vectors(*lengths):
+    rng = np.random.default_rng(0)
+    return [DenseTensor.vector(rng.standard_normal(n)) for n in lengths]
+
+
+def test_selfcheck_corruption_is_detected(capsys, monkeypatch):
+    _corrupt_pooling(monkeypatch, "mcb")
+    assert mcb_error(*_vectors(8, 8), 16, 0) > 1e-9
+    _selfcheck_fails(capsys, "mcb-identity")
+
+
+def test_selfcheck_detects_corrupted_mct(capsys, monkeypatch):
+    _corrupt_pooling(monkeypatch, "mct")
+    img = DenseTensor.from_array(np.random.default_rng(0).standard_normal((3, 4, 2)))
+    assert mct_error(img, *_vectors(5), 4, 0) > 1e-9
+    _selfcheck_fails(capsys, "mct-identity")
+
+
+def test_selfcheck_detects_corrupted_fft(capsys, monkeypatch):
+    real = spectral.ndfft
+    monkeypatch.setattr(spectral, "ndfft", lambda t: _nudged(real(t)))
+    t = DenseTensor.from_array(np.random.default_rng(0).standard_normal((3, 4, 5)))
+    assert fft_errors(t)[0] > 1e-9
+    _selfcheck_fails(capsys, "fft-vs-naive")
+
+
+def test_selfcheck_detects_corrupted_padding(capsys, monkeypatch):
+    _corrupt_pooling(monkeypatch, "mcb", padded_only=True)
+    x, y = _vectors(2, 2)
+    errors = (padding_error(x, y, 256, derive_seed(0, "pad", k)) for k in range(500))
+    assert next(e for e in errors if e is not None) > 1e-9
+    assert "PASS mcb-identity" in _selfcheck_fails(capsys, "padding-recovery")
 
 
 def test_selfcheck_json(capsys):
@@ -231,6 +320,25 @@ def test_selfcheck_output_is_deterministic(capsys):
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    assert main(["selfcheck", "--json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert main(["selfcheck"]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+
+    a, b = (tmp_path / name for name in ("a.tsk", "b.tsk"))
+    x, y = _vectors(6, 6)
+    write_tensor(x, a)
+    write_tensor(y, b)
+    out = tmp_path / "z.tsk"
+    flags = ["pool", "--mode", "mcb", "--a", str(a), "--b", str(b), "--dims", "8",
+             "--seed", "1", "--out", str(out)]
+    assert main([*flags, "--pad"]) == 0
+    assert main(flags) == 0
+    unpadded = pooling.mcb(x, y, pooling.PoolingConfig((8,), "time", False, 1)).data
+    assert read_tensor(out).values.tobytes() == unpadded.values.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["time", "freq"])
@@ -264,8 +372,9 @@ def test_pool_overflow_fails_the_residue_check(tmp_path, capsys):
     a = tmp_path / "a.tsk"
     write_tensor(DenseTensor.vector([1e308]), a)
     out = tmp_path / "z.tsk"
-    rc = main(["pool", "--mode", "mcb", "--a", str(a), "--b", str(a), "--dims", "1",
-               "--variant", "time", "--seed", "1", "--out", str(out)])
+    with pytest.warns(RuntimeWarning):
+        rc = main(["pool", "--mode", "mcb", "--a", str(a), "--b", str(a), "--dims", "1",
+                   "--variant", "time", "--seed", "1", "--out", str(out)])
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
@@ -281,8 +390,9 @@ def test_pool_frequency_overflow_fails(tmp_path, capsys, mode, a_value, dims):
     write_tensor(DenseTensor.from_array(a_value), a)
     write_tensor(DenseTensor.vector([1e308]), b)
     out = tmp_path / "z.tsk"
-    rc = main(["pool", "--mode", mode, "--a", str(a), "--b", str(b), "--dims", dims,
-               "--variant", "freq", "--seed", "1", "--out", str(out)])
+    with pytest.warns(RuntimeWarning):
+        rc = main(["pool", "--mode", mode, "--a", str(a), "--b", str(b), "--dims", dims,
+                   "--variant", "freq", "--seed", "1", "--out", str(out)])
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()

@@ -1,12 +1,18 @@
 import csv
 import errno
+import math
 import os
 import struct
+import sys
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactpool import fileio
 from compactpool.fileio import (
@@ -42,6 +48,35 @@ def test_signed_zero_survives(tmp_path):
     back = read_tensor(path)
     assert not np.signbit(back.values[0])
     assert np.signbit(back.values[1])
+
+
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, sys.float_info.max, -sys.float_info.max)
+
+
+@st.composite
+def _finite_tensors(draw):
+    dims = tuple(draw(st.lists(st.integers(0, 5), min_size=0, max_size=4)))
+    is_complex = draw(st.booleans())
+    count = math.prod(dims) * (2 if is_complex else 1)
+    reals = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+    values = np.array(draw(st.lists(reals, min_size=count, max_size=count)), dtype=float)
+    if not is_complex:
+        return DenseTensor(dims, values)
+    pairs = np.empty(count // 2, dtype=complex)
+    pairs.real, pairs.imag = values[0::2], values[1::2]  # keeps signed zeros in both parts
+    return ComplexTensor(dims, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_finite_tensors())
+def test_round_trip_is_bit_exact_for_any_finite_tensor(t):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsk"
+        write_tensor(t, path)
+        back = read_tensor(path)
+    assert type(back) is type(t)
+    assert back.dims == t.dims
+    assert back.values.tobytes() == t.values.tobytes()
 
 
 def test_complex_round_trip(tmp_path):

@@ -6,6 +6,8 @@ from compactpool.reference import kernel_oracle, mcb_oracle, mct_oracle
 from compactpool.spectral import OracleCapExceeded
 from compactpool.tensor import DenseTensor
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_kernel_oracle_power_zero():
     x = DenseTensor.vector([1, 2, 3])
