@@ -35,9 +35,7 @@ from .tensor import (
     inner_product,
     outer_product,
     pad_with_ones,
-    reassemble,
     stack_blocks,
-    subdivide,
 )
 
 __version__ = "0.1.0"
@@ -75,8 +73,6 @@ __all__ = [
     "outer_product",
     "pad_with_ones",
     "polynomial_sketch",
-    "reassemble",
     "save_plan",
     "stack_blocks",
-    "subdivide",
 ]

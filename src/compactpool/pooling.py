@@ -64,16 +64,17 @@ class PooledFeature:
     """Pooling result: real data in the time domain, complex in the frequency domain."""
 
     data: DenseTensor | ComplexTensor
-    domain: str
     config: PoolingConfig
     plans: tuple[hashplan.SketchPlan, ...]
 
     def __post_init__(self) -> None:
-        if self.domain not in VARIANTS:
-            raise ValueError(f"domain must be one of {VARIANTS}, got {self.domain!r}")
-        want_complex = self.domain == "frequency"
-        if isinstance(self.data, ComplexTensor) != want_complex:
+        if isinstance(self.data, ComplexTensor) != (self.domain == "frequency"):
             raise ValueError(f"{self.domain}-domain data has the wrong value type")
+
+    @property
+    def domain(self) -> str:
+        """The config's variant: "time" or "frequency"."""
+        return self.config.variant
 
 
 def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
@@ -100,9 +101,9 @@ def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
     product = ComplexTensor._adopt((d,), fx * fy)
     if cfg.variant == "frequency":
         checked_finite(product.values, "mcb")
-        return PooledFeature(product, "frequency", cfg, (px, py))
+        return PooledFeature(product, cfg, (px, py))
     data = DenseTensor._adopt((d,), checked_real(indfft(product).values, "mcb"))
-    return PooledFeature(data, "time", cfg, (px, py))
+    return PooledFeature(data, cfg, (px, py))
 
 
 def _spectra(pairs: Sequence[tuple[DenseTensor, hashplan.SketchPlan]]) -> np.ndarray:
@@ -121,62 +122,43 @@ def mct(img: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> PooledFeature
     defined when d1 = d2 = d3 = d4, where the spectral product is an exact
     cyclic convolution along the (1, 1, 1) diagonal.
     """
-    (feature,) = _mct_blocks(img, 1, txt, cfg)
+    (feature,) = _mct_blocks(DenseTensor._adopt((1, *img.dims), img.values), txt, cfg)
     return feature
 
 
-def _stacked_plan(p_img: hashplan.SketchPlan, count: int) -> hashplan.SketchPlan:
-    """p_img for count blocks stacked along mode 0: block g scatters into rows g*d1 .. (g+1)*d1."""
-    first, *rest = p_img.modes
-    offsets = np.arange(count)[:, None] * first.output_size
-    mode = hashplan.ModeHash(
-        count * first.input_size,
-        count * first.output_size,
-        (offsets + first.hash_table).ravel(),
-        np.tile(first.sign_table, count),
-    )
-    return hashplan.SketchPlan((mode, *rest), p_img.seed)
+def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> list[PooledFeature]:
+    """mct of each block of a (count, C, H, W) stack against one text vector.
 
-
-def _mct_blocks(
-    stack: DenseTensor, count: int, txt: DenseTensor, cfg: PoolingConfig
-) -> list[PooledFeature]:
-    """mct of each of count equal blocks against one text vector.
-
-    stack holds the blocks as a row-major (count, C, H, W) array with its
-    first two modes merged, so one block is just the image. All blocks share
-    one image plan and one text plan; their sketches come from one scatter
-    and their spectra from one transform each way. The residue check stays
-    per block. Frequency-variant blocks are views of one read-only stack.
+    All blocks share one image plan and one text plan; their sketches come
+    from one batched scatter and their spectra from one transform each way.
+    The residue check stays per block. Frequency-variant blocks are views of
+    one read-only stack.
     """
-    if stack.order != 3 or txt.order != 1:
+    if blocks.order != 4 or txt.order != 1:
         raise ValueError("mct needs an order-3 tensor and a vector")
     if len(cfg.output_dims) != 4:
         raise PoolingContractError(f"mct needs four output dims, got {cfg.output_dims}")
+    if cfg.pad_with_ones:
+        raise PoolingContractError("mct does not support pad_with_ones")
     d1, d2, d3, d4 = cfg.output_dims
     if cfg.variant == "time" and len({d1, d2, d3, d4}) != 1:
         raise PoolingContractError(
             f"time-variant mct requires equal output dims, got {cfg.output_dims}"
         )
-    block_dims = (stack.dims[0] // count, *stack.dims[1:])
-    p_img, p_txt = hashplan.image_text_plans(block_dims, txt.dims[0], cfg.output_dims, cfg.seed)
-    plan = p_img if count == 1 else _stacked_plan(p_img, count)
-    sketch = md_sketch(stack, plan)
-    fx = ndfft(DenseTensor._adopt((count, d1, d2, d3), sketch.values), batched=True).array
+    p_img, p_txt = hashplan.image_text_plans(blocks.dims[1:], txt.dims[0], cfg.output_dims, cfg.seed)
+    fx = ndfft(md_sketch(blocks, p_img, batched=True), batched=True).array
     fw = ndfft(count_sketch(txt, p_txt)).values
     idx = (np.arange(d1)[:, None, None] + np.arange(d2)[:, None] + np.arange(d3)) % d4
-    product = ComplexTensor._adopt((count, d1, d2, d3), fx * fw[idx])
+    product = ComplexTensor._adopt(fx.shape, fx * fw[idx])
     plans = (p_img, p_txt)
     if cfg.variant == "frequency":
         checked_finite(product.values, "mct")
         return [
-            PooledFeature(ComplexTensor._adopt((d1, d2, d3), block), "frequency", cfg, plans)
+            PooledFeature(ComplexTensor._adopt((d1, d2, d3), block), cfg, plans)
             for block in product.array
         ]
     return [
-        PooledFeature(
-            DenseTensor._adopt((d1, d2, d3), checked_real(block, "mct")), "time", cfg, plans
-        )
+        PooledFeature(DenseTensor._adopt((d1, d2, d3), checked_real(block, "mct")), cfg, plans)
         for block in indfft(product, batched=True).array
     ]
 
@@ -217,8 +199,6 @@ def local_mct(
     features are views of one shared read-only array, so keeping any of them
     keeps all of it; time-variant features each own their values.
     """
-    stacked = stack_blocks(img, block_dims)
-    count, b1, b2, b3 = stacked.dims
-    grid = tuple(full // b for full, b in zip(img.dims, (b1, b2, b3)))
-    stack = DenseTensor._adopt((count * b1, b2, b3), stacked.values)
-    return list(zip(np.ndindex(*grid), _mct_blocks(stack, count, txt, cfg)))
+    blocks = stack_blocks(img, block_dims)
+    grid = tuple(full // b for full, b in zip(img.dims, blocks.dims[1:]))
+    return list(zip(np.ndindex(*grid), _mct_blocks(blocks, txt, cfg)))

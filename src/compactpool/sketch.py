@@ -37,25 +37,30 @@ def count_sketch(v: DenseTensor, p: SketchPlan) -> DenseTensor:
     return DenseTensor._adopt((mode.output_size,), w)
 
 
-def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:
+def md_sketch(t: DenseTensor, p: SketchPlan, batched: bool = False) -> DenseTensor:
     """Per-mode signed scatter of an order-N tensor.
 
     X(t1..tN) = sum over all input cells whose per-mode hashes hit (t1..tN) of
     (product of mode signs) times the cell value. Reduces to count_sketch for
-    N = 1.
+    N = 1. With batched, mode 0 indexes independent blocks: each block comes
+    out as md_sketch of that block alone.
     """
-    if t.order != p.order:
-        raise ValueError(f"order mismatch: tensor {t.order}, plan {p.order}")
-    if t.dims != p.input_dims:
-        raise ValueError(f"size mismatch: tensor {t.dims}, plan {p.input_dims}")
+    if t.order - batched != p.order:
+        raise ValueError(f"order mismatch: tensor {t.order}, plan {p.order}, batched={batched}")
+    if t.dims[batched:] != p.input_dims:
+        raise ValueError(f"size mismatch: tensor {t.dims}, plan {p.input_dims}, batched={batched}")
     first, *rest = p.modes
     flat, sign = first.hash_table, first.sign_table
+    count = t.dims[0] if batched else 1
+    if count != 1:
+        # Block g scatters into mode-0 rows g*d1 .. (g+1)*d1.
+        flat = np.add.outer(np.arange(count) * first.output_size, flat)
     for mode in rest:
         flat = np.add.outer(flat * mode.output_size, mode.hash_table)
         sign = np.multiply.outer(sign, mode.sign_table)
-    size = math.prod(p.output_dims)
-    out = np.bincount(flat.ravel(), (sign * t.array).ravel(), minlength=size)
-    return DenseTensor._adopt(p.output_dims, out)
+    dims = t.dims[:batched] + p.output_dims
+    out = np.bincount(flat.ravel(), (sign * t.array).ravel(), minlength=math.prod(dims))
+    return DenseTensor._adopt(dims, out)
 
 
 def decode_estimate(sketch: DenseTensor, p: SketchPlan, index: Sequence[int]) -> float:

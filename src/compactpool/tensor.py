@@ -22,9 +22,7 @@ __all__ = [
     "inner_product",
     "outer_product",
     "pad_with_ones",
-    "reassemble",
     "stack_blocks",
-    "subdivide",
 ]
 
 # Cell budget keeps flat indices comfortably inside int64 (with byte offsets).
@@ -189,49 +187,3 @@ def stack_blocks(t: DenseTensor, block_dims: Sequence[int]) -> DenseTensor:
     b1, b2, b3 = bdims
     arr = t.array.reshape(g1, b1, g2, b2, g3, b3).transpose(0, 2, 4, 1, 3, 5)
     return DenseTensor._adopt((g1 * g2 * g3, *bdims), np.ascontiguousarray(arr))
-
-
-def subdivide(
-    t: DenseTensor, block_dims: Sequence[int]
-) -> list[tuple[tuple[int, int, int], DenseTensor]]:
-    """Tile an order-3 tensor into equal blocks.
-
-    Returns (grid_coordinate, block) pairs in row-major grid order; see
-    stack_blocks for the rules on block_dims. The blocks are views of one
-    shared read-only array, so keeping any of them keeps all of it.
-    """
-    stacked = stack_blocks(t, block_dims)
-    bdims = stacked.dims[1:]
-    grid = tuple(full // b for full, b in zip(t.dims, bdims))
-    blocks = stacked.array
-    return [(g, DenseTensor._adopt(bdims, b)) for g, b in zip(np.ndindex(*grid), blocks)]
-
-
-def reassemble(
-    blocks: Iterable[tuple[tuple[int, int, int], DenseTensor]],
-    dims: Sequence[int],
-) -> DenseTensor:
-    """Inverse of subdivide: place blocks back by grid coordinate."""
-    full = tuple(int(d) for d in dims)
-    if len(full) != 3:
-        raise ValueError(f"dims must have length 3, got {full}")
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("no blocks to reassemble")
-    bdims = blocks[0][1].dims
-    grid = tuple(f // b for f, b in zip(full, bdims))
-    if tuple(f % b for f, b in zip(full, bdims)) != (0, 0, 0):
-        raise ValueError(f"block dims {bdims} do not tile {full}")
-    arr = np.empty(full, dtype=np.float64)
-    seen = set()
-    for g, block in blocks:
-        if block.dims != bdims:
-            raise ValueError(f"inconsistent block dims: {block.dims} vs {bdims}")
-        if g in seen or any(not 0 <= gi < gd for gi, gd in zip(g, grid)):
-            raise ValueError(f"bad grid coordinate {g}")
-        seen.add(g)
-        sl = tuple(slice(gi * b, (gi + 1) * b) for gi, b in zip(g, bdims))
-        arr[sl] = block.array
-    if len(seen) != math.prod(grid):
-        raise ValueError(f"expected {math.prod(grid)} blocks, got {len(seen)}")
-    return DenseTensor.from_array(arr)

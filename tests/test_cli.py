@@ -253,7 +253,7 @@ def _corrupt_pooling(monkeypatch, name, padded_only=False):
         feature = real(a, b, cfg)
         if padded_only and not cfg.pad_with_ones:
             return feature
-        return pooling.PooledFeature(_nudged(feature.data), feature.domain, cfg, feature.plans)
+        return pooling.PooledFeature(_nudged(feature.data), cfg, feature.plans)
 
     monkeypatch.setattr(pooling, name, corrupted)
 

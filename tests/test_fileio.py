@@ -29,6 +29,8 @@ from compactpool.fileio import (
 )
 from compactpool.tensor import ComplexTensor, DenseTensor
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_real_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)

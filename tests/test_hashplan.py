@@ -21,6 +21,8 @@ from compactpool.hashplan import (
 from compactpool.sketch import count_sketch
 from compactpool.tensor import DenseTensor
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _single(hashes, signs, d, seed=0):
     return SketchPlan((ModeHash(len(hashes), d, hashes, signs),), seed)

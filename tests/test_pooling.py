@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactpool.hashplan import (
     build_plan,
@@ -20,11 +22,18 @@ from compactpool.pooling import (
 from compactpool.reference import mcb_oracle, mct_oracle
 from compactpool.sketch import count_sketch, decode_estimate, md_sketch
 from compactpool.spectral import ResidueError, checked_real, indfft, naive_ndft, ndfft
-from compactpool.tensor import ComplexTensor, DenseTensor, pad_with_ones, stack_blocks, subdivide
+from compactpool.tensor import ComplexTensor, DenseTensor, pad_with_ones, stack_blocks
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _gauss_vec(n, seed):
     return DenseTensor.vector(np.random.default_rng(seed).standard_normal(n))
+
+
+def _blocks(img, block_dims):
+    """Each block of stack_blocks as a tensor of its own."""
+    return [DenseTensor.from_array(b) for b in stack_blocks(img, block_dims).array]
 
 
 def test_config_validation():
@@ -39,7 +48,10 @@ def test_config_validation():
 def test_pooled_feature_domain_consistency():
     cfg = PoolingConfig((2,), "time")
     with pytest.raises(ValueError):
-        PooledFeature(ComplexTensor((2,), np.zeros(2, complex)), "time", cfg, ())
+        PooledFeature(ComplexTensor((2,), np.zeros(2, complex)), cfg, ())
+    with pytest.raises(ValueError):
+        PooledFeature(DenseTensor.vector([0.0, 0.0]), PoolingConfig((2,), "frequency"), ())
+    assert PooledFeature(DenseTensor.vector([0.0, 0.0]), cfg, ()).domain == "time"
 
 
 def test_mcb_zero_inputs_give_zero():
@@ -172,6 +184,40 @@ def test_mct_matches_oracle():
     assert np.max(np.abs(fast.values - slow.values)) <= 1e-9
 
 
+@st.composite
+def _mct_cases(draw):
+    """An image of 1-2 blocks per mode (block dims up to 3), a text vector, d and a seed."""
+    grid = draw(st.tuples(*[st.integers(1, 2)] * 3))
+    block_dims = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    img = DenseTensor.from_array(rng.standard_normal([g * b for g, b in zip(grid, block_dims)]))
+    txt = DenseTensor.vector(rng.standard_normal(draw(st.integers(1, 5))))
+    return img, txt, block_dims, draw(st.integers(1, 5)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mct_cases())
+def test_mct_and_every_local_mct_block_match_the_oracle(case):
+    img, txt, block_dims, d, seed = case
+    cfg = PoolingConfig((d,) * 4, "time", False, seed)
+    oracle = mct_oracle(img, txt, d, seed)
+    assert np.max(np.abs(mct(img, txt, cfg).data.values - oracle.values)) <= 1e-9
+    for (_, feature), block in zip(local_mct(img, txt, block_dims, cfg), _blocks(img, block_dims)):
+        oracle = mct_oracle(block, txt, d, seed)
+        assert np.max(np.abs(feature.data.values - oracle.values)) <= 1e-9
+
+
+def test_mct_and_local_mct_refuse_pad_with_ones():
+    img = DenseTensor.from_array(np.ones((2, 2, 2)))
+    txt = DenseTensor.vector([1.0, 2.0])
+    for variant in ("time", "frequency"):
+        cfg = PoolingConfig((2, 2, 2, 2), variant, True, 0)
+        with pytest.raises(PoolingContractError, match="pad_with_ones"):
+            mct(img, txt, cfg)
+        with pytest.raises(PoolingContractError, match="pad_with_ones"):
+            local_mct(img, txt, (1, 2, 2), cfg)
+
+
 def test_mct_time_rejects_unequal_dims():
     img = DenseTensor.from_array(np.zeros((2, 2, 2)))
     txt = DenseTensor.vector([1.0, 2.0])
@@ -280,9 +326,8 @@ def test_local_mct_blocks_match_independent_calls():
     cfg = PoolingConfig((2, 2, 2, 2), "time", False, 13)
     result = local_mct(img, txt, (2, 2, 2), cfg)
     assert len(result) == 4
-    blocks = dict(subdivide(img, (2, 2, 2)))
-    for g, feature in result:
-        independent = mct(blocks[g], txt, cfg)
+    for (g, feature), block in zip(result, _blocks(img, (2, 2, 2))):
+        independent = mct(block, txt, cfg)
         assert np.max(np.abs(feature.data.values - independent.data.values)) <= 1e-12
 
 
@@ -308,10 +353,8 @@ def test_batched_local_mct_equals_per_block_mct(img_dims, block_dims, out_dims, 
     txt = DenseTensor.vector(rng.standard_normal(5))
     cfg = PoolingConfig(out_dims, variant, False, 21)
     result = local_mct(img, txt, block_dims, cfg)
-    blocks = subdivide(img, block_dims)
-    assert [g for g, _ in result] == [g for g, _ in blocks]
     assert [g for g, _ in result] == list(np.ndindex(*(f // b for f, b in zip(img_dims, block_dims))))
-    for (g, feature), (_, block) in zip(result, blocks):
+    for (g, feature), block in zip(result, _blocks(img, block_dims)):
         single = mct(block, txt, cfg)
         assert feature.domain == variant
         assert feature.data.dims == out_dims[:3]
@@ -324,8 +367,7 @@ def test_local_mct_blocks_match_the_oracle():
     img = DenseTensor.from_array(rng.standard_normal((4, 2, 6)))
     txt = DenseTensor.vector(rng.standard_normal(3))
     cfg = PoolingConfig((3, 3, 3, 3), "time", False, 22)
-    for (g, feature), (_, block) in zip(local_mct(img, txt, (2, 2, 3), cfg),
-                                        subdivide(img, (2, 2, 3))):
+    for (g, feature), block in zip(local_mct(img, txt, (2, 2, 3), cfg), _blocks(img, (2, 2, 3))):
         oracle = mct_oracle(block, txt, 3, 22)
         assert np.max(np.abs(feature.data.values - oracle.values)) <= 1e-9
 
@@ -336,7 +378,7 @@ def test_local_mct_checks_the_residue_of_every_block():
     img = DenseTensor.from_array(arr)
     txt = _gauss_vec(3, 86)
     cfg = PoolingConfig((2, 2, 2, 2), "time", False, 13)
-    with pytest.raises(ResidueError, match="mct"):
+    with pytest.raises(ResidueError, match="mct"), pytest.warns(RuntimeWarning):
         local_mct(img, txt, (2, 2, 2), cfg)
     clean = local_mct(DenseTensor.from_array(arr[:, :2]), txt, (2, 2, 2), cfg)
     assert all(np.isfinite(f.data.values).all() for _, f in clean)
@@ -355,12 +397,14 @@ _CFG_MCT = PoolingConfig((2, 2, 2, 2), "time", False, 3)
 _STAGES = {
     "constructors": lambda x, y, im: [x, y, im],
     "count_sketch": lambda x, y, im: [count_sketch(x, build_plan([6], [4], 1))],
-    "md_sketch": lambda x, y, im: [md_sketch(im, build_plan([4, 4, 2], [3, 2, 2], 1))],
+    "md_sketch": lambda x, y, im: [
+        md_sketch(im, build_plan([4, 4, 2], [3, 2, 2], 1)),
+        md_sketch(stack_blocks(im, (2, 2, 1)), build_plan([2, 2, 1], [3, 2, 2], 1), batched=True),
+    ],
     "ndfft": lambda x, y, im: [ndfft(im), ndfft(x)],
     "indfft": lambda x, y, im: [indfft(im, batched=True), indfft(x)],
     "pad_with_ones": lambda x, y, im: [pad_with_ones(x, 3)],
     "stack_blocks": lambda x, y, im: [stack_blocks(im, (2, 2, 1)), stack_blocks(im, (4, 4, 2))],
-    "subdivide": lambda x, y, im: [b for _, b in subdivide(im, (2, 2, 1))],
     "mcb": lambda x, y, im: [
         mcb(x, y, PoolingConfig((8,), variant, pad, 2)).data
         for variant in ("time", "frequency") for pad in (False, True)

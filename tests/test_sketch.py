@@ -259,3 +259,32 @@ def test_sketches_are_linear(case, a, b):
     combo = _sketch(a * u + b * v, plan)
     parts = a * _sketch(u, plan) + b * _sketch(v, plan)
     assert np.max(np.abs(combo - parts)) <= 1e-9 * max(np.linalg.norm(parts), 1.0)
+
+
+@st.composite
+def _block_stacks(draw):
+    """A stack of 1-4 blocks of order 1-3 (every dim up to 5) and a plan for one block."""
+    count = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 3))
+    in_dims = draw(st.lists(st.integers(1, 5), min_size=order, max_size=order))
+    out_dims = draw(st.lists(st.integers(1, 5), min_size=order, max_size=order))
+    plan = build_plan(in_dims, out_dims, draw(st.integers(0, 2**64 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return plan, rng.standard_normal((count, *in_dims))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_stacks())
+def test_batched_md_sketch_equals_one_call_per_block(case):
+    plan, stack = case
+    got = md_sketch(DenseTensor.from_array(stack), plan, batched=True)
+    want = np.stack([md_sketch(DenseTensor.from_array(block), plan).array for block in stack])
+    assert got.dims == want.shape
+    assert np.array_equal(got.array, want)
+    with pytest.raises(ValueError, match="order mismatch"):
+        md_sketch(DenseTensor.from_array(stack), plan)
+    with pytest.raises(ValueError, match="order mismatch"):
+        md_sketch(DenseTensor.from_array(stack[0]), plan, batched=True)
+    wider = np.zeros((*stack.shape[:-1], stack.shape[-1] + 1))
+    with pytest.raises(ValueError, match="size mismatch"):
+        md_sketch(DenseTensor.from_array(wider), plan, batched=True)

@@ -8,9 +8,7 @@ from compactpool.tensor import (
     inner_product,
     outer_product,
     pad_with_ones,
-    reassemble,
     stack_blocks,
-    subdivide,
 )
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -121,37 +119,6 @@ def test_pad_rejects_matrices():
         pad_with_ones(DenseTensor.from_array(np.ones((2, 2))), 1)
 
 
-def test_subdivide_identity_block():
-    t = DenseTensor.from_array(np.arange(8.0).reshape(2, 2, 2))
-    blocks = subdivide(t, (2, 2, 2))
-    assert len(blocks) == 1
-    assert blocks[0][0] == (0, 0, 0)
-    assert blocks[0][1] == t
-
-
-def test_subdivide_and_reassemble_round_trip():
-    rng = np.random.default_rng(8)
-    t = DenseTensor.from_array(rng.standard_normal((2, 4, 4)))
-    blocks = subdivide(t, (2, 2, 2))
-    assert len(blocks) == 4
-    assert [g for g, _ in blocks] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
-    back = reassemble(blocks, t.dims)
-    assert back.dims == t.dims
-    assert back.values.tobytes() == t.values.tobytes()
-
-
-def test_subdivide_blocks_match_slices():
-    t = DenseTensor.from_array(np.arange(32.0).reshape(2, 4, 4))
-    blocks = dict(subdivide(t, (2, 2, 2)))
-    assert blocks[(0, 1, 1)].array.tolist() == t.array[0:2, 2:4, 2:4].tolist()
-
-
-def test_subdivide_rejects_non_divisible():
-    t = DenseTensor.from_array(np.zeros((2, 3, 4)))
-    with pytest.raises(ValueError, match="divide"):
-        subdivide(t, (2, 2, 2))
-
-
 def test_row_major_linearization():
     values = np.arange(6.0)
     t = DenseTensor((2, 3), values)
@@ -235,13 +202,16 @@ def test_dense_and_complex_tensors_never_compare_equal():
 
 
 def test_stack_blocks_orders_blocks_row_major():
-    t = DenseTensor.from_array(np.arange(4 * 6 * 2, dtype=float).reshape(4, 6, 2))
-    stacked = stack_blocks(t, (2, 3, 1))
-    assert stacked.dims == (8, 2, 3, 1)
-    for i, (g, block) in enumerate(subdivide(t, (2, 3, 1))):
-        assert np.array_equal(stacked.array[i], block.array)
-        sl = tuple(slice(gi * b, (gi + 1) * b) for gi, b in zip(g, (2, 3, 1)))
-        assert np.array_equal(block.array, t.array[sl])
+    # The second case is one block covering the whole tensor: the stack is the tensor itself.
+    for shape, block_dims in [((4, 6, 2), (2, 3, 1)), ((2, 2, 2), (2, 2, 2))]:
+        t = DenseTensor.from_array(np.arange(np.prod(shape), dtype=float).reshape(shape))
+        stacked = stack_blocks(t, block_dims)
+        grid = tuple(f // b for f, b in zip(shape, block_dims))
+        assert stacked.dims == (np.prod(grid), *block_dims)
+        for i, g in enumerate(np.ndindex(*grid)):
+            sl = tuple(slice(gi * b, (gi + 1) * b) for gi, b in zip(g, block_dims))
+            assert np.array_equal(stacked.array[i], t.array[sl])
+    assert stacked.dims == (1, 2, 2, 2) and stacked.values.tobytes() == t.values.tobytes()
     with pytest.raises(ValueError, match="divide"):
         stack_blocks(t, (3, 3, 1))
     with pytest.raises(ValueError, match="order-3"):
