@@ -8,7 +8,10 @@ that keeps the complex spectral product and skips the inverse transform.
 Either variant raises ResidueError rather than return non-finite values.
 
 Plan seeds are derived deterministically from the config seed, so a single
-(config, inputs) pair reproduces the whole pipeline bit for bit.
+(config, inputs) pair reproduces the whole pipeline. Outputs are
+byte-identical for the same numpy/BLAS build and BLAS thread count: md_sketch
+runs BLAS matrix products, whose sums a different thread count may order
+differently (agreement is then to rounding, far inside 1e-12 relative).
 """
 
 from __future__ import annotations

@@ -172,11 +172,13 @@ def stack_blocks(t: DenseTensor, block_dims: Sequence[int]) -> DenseTensor:
     """Tile an order-3 tensor into equal blocks stacked along a new leading mode.
 
     Result dims are (G, b1, b2, b3) with the G blocks in row-major grid
-    order. Every block dim must divide the matching tensor dim; there is no
-    implicit padding.
+    order. Every tensor dim and block dim must be >= 1, and every block dim
+    must divide the matching tensor dim; there is no implicit padding.
     """
     if t.order != 3:
         raise ValueError(f"tiling needs an order-3 tensor, got order {t.order}")
+    if t.size == 0:
+        raise ValueError(f"tiling needs all sizes >= 1, got tensor dims {t.dims}")
     bdims = tuple(int(b) for b in block_dims)
     if len(bdims) != 3 or any(b < 1 for b in bdims):
         raise ValueError(f"block_dims must be three positive integers, got {bdims}")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -338,6 +343,12 @@ def test_local_mct_rejects_non_divisible():
         local_mct(img, txt, (2, 2, 2), PoolingConfig((2, 2, 2, 2), "time", False, 0))
 
 
+def test_local_mct_refuses_a_zero_length_mode():
+    img = DenseTensor.from_array(np.zeros((0, 4, 4)))
+    with pytest.raises(ValueError, match=r"sizes >= 1, got tensor dims \(0, 4, 4\)"):
+        local_mct(img, DenseTensor.vector([1.0]), (2, 2, 2), PoolingConfig((2, 2, 2, 2)))
+
+
 @pytest.mark.parametrize(
     "img_dims, block_dims, out_dims, variant",
     [
@@ -382,6 +393,41 @@ def test_local_mct_checks_the_residue_of_every_block():
         local_mct(img, txt, (2, 2, 2), cfg)
     clean = local_mct(DenseTensor.from_array(arr[:, :2]), txt, (2, 2, 2), cfg)
     assert all(np.isfinite(f.data.values).all() for _, f in clean)
+
+
+@pytest.mark.parametrize("variant, dims", [("time", (4, 4, 4, 4)), ("frequency", (4, 5, 3, 6))])
+def test_mct_refuses_a_non_finite_image_cell(variant, dims):
+    # md_sketch's GEMM spreads the inf as NaN (0 * inf) through the sketch; the exit check holds.
+    arr = np.random.default_rng(87).standard_normal((16, 3, 3))
+    arr[0, 0, 0] = np.inf
+    with pytest.raises(ResidueError, match="mct"), pytest.warns(RuntimeWarning, match="matmul"):
+        mct(DenseTensor.from_array(arr), _gauss_vec(5, 88), PoolingConfig(dims, variant, False, 2))
+
+
+_VQA_MCT = """
+import sys
+import numpy as np
+from compactpool.pooling import PoolingConfig, mct
+from compactpool.tensor import DenseTensor
+rng = np.random.default_rng(7)
+img = DenseTensor.from_array(rng.standard_normal((2048, 14, 14)))
+txt = DenseTensor.vector(rng.standard_normal(2048))
+np.save(sys.argv[1], mct(img, txt, PoolingConfig((16,) * 4, seed=3)).data.array)
+"""
+
+
+def test_vqa_mct_agrees_across_blas_thread_counts(tmp_path):
+    # md_sketch's BLAS products may order their sums by thread count, so outputs are
+    # byte-identical only at one thread count; across counts they agree to rounding.
+    src = str(Path(mct.__code__.co_filename).parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        path = tmp_path / f"threads{threads}.npy"
+        subprocess.run([sys.executable, "-c", _VQA_MCT, str(path)], env=env, check=True, timeout=300)
+        outs.append(np.load(path))
+    one, two = outs
+    assert np.max(np.abs(one - two)) <= 1e-12 * np.max(np.abs(one))
 
 
 def test_local_mct_rejects_bad_text():

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -241,15 +242,64 @@ def _literal_scatter(arr, plan):
     return out.ravel()
 
 
+def _close_to_literal(got, u, plan):
+    # md_sketch sums mode by mode, not cell by cell as the loop does, so the sums
+    # agree to rounding: 1e-12 of the input's l1 norm, which bounds every bucket.
+    return np.max(np.abs(got - _literal_scatter(u, plan))) <= 1e-12 * np.abs(u).sum()
+
+
 @settings(max_examples=60, deadline=None)
 @given(_sketch_cases())
 def test_sketches_equal_a_literal_per_cell_scatter(case):
-    # The scatter adds cells in row-major order, as the loop does, so the sums agree exactly.
     plan, u, _ = case
-    want = _literal_scatter(u, plan)
-    assert np.array_equal(md_sketch(DenseTensor.from_array(u), plan).values, want)
+    assert _close_to_literal(md_sketch(DenseTensor.from_array(u), plan).values, u, plan)
     if plan.order == 1:
+        # count_sketch adds cells in index order, as the loop does, so the sums agree exactly.
+        want = _literal_scatter(u, plan)
         assert np.array_equal(count_sketch(DenseTensor.vector(u), plan).values, want)
+
+
+# The kernel md_sketch takes for each mode: "g" for the one-hot GEMM (d <= 64 and
+# d at most the cells outside the mode), "s" for the bincount scatter.
+_KERNEL_CASES = {
+    "d over 64": ((200, 120), (100, 3), "sg"),
+    "thin mode": ((4096, 4), (64, 4), "sg"),
+    "scatter between GEMMs": ((3, 200, 5), (2, 100, 4), "gsg"),
+    "scatter only": ((150, 100), (80, 70), "ss"),
+    "order 1": ((4096,), (1024,), "s"),
+    "order 1, one bucket": ((50,), (1,), "g"),
+    "channel-last image": ((6, 5, 300), (16, 16, 16), "ggg"),
+}
+
+
+@pytest.mark.parametrize("in_dims, out_dims, kernels", _KERNEL_CASES.values(), ids=_KERNEL_CASES)
+def test_md_sketch_kernels_match_the_literal_scatter(in_dims, out_dims, kernels):
+    plan = build_plan(in_dims, out_dims, 5)
+    u = np.random.default_rng(5).standard_normal(in_dims)
+    got = md_sketch(DenseTensor.from_array(u), plan).values
+    if "g" in kernels:
+        assert _close_to_literal(got, u, plan)
+    else:
+        # Scatter modes share one bincount, which adds cells in row-major order as the loop does.
+        assert np.array_equal(got, _literal_scatter(u, plan))
+    blocks = np.random.default_rng(6).standard_normal((3, *in_dims))
+    stack = md_sketch(DenseTensor.from_array(blocks), plan, batched=True).array
+    for block, sketch in zip(blocks, stack):
+        assert np.array_equal(sketch, md_sketch(DenseTensor.from_array(block), plan).array)
+    # A non-finite cell gives a non-finite sketch. A scatter adds it into one bucket of
+    # its mode; a GEMM adds 0 * inf = NaN into every other bucket, which numpy reports.
+    u.flat[0] = np.inf
+    spread = math.prod(d for d, k in zip(out_dims, kernels) if k == "g")
+    with pytest.warns(RuntimeWarning, match="invalid") if spread > 1 else contextlib.nullcontext():
+        out = md_sketch(DenseTensor.from_array(u), plan).values
+    assert np.count_nonzero(~np.isfinite(out)) == spread
+
+
+def test_md_sketch_of_zero_blocks_is_empty():
+    for in_dims, out_dims in [([2, 2, 2], [3, 2, 2]), ([4], [8])]:  # GEMM and scatter kernels
+        plan = build_plan(in_dims, out_dims, 0)
+        out = md_sketch(DenseTensor.from_array(np.zeros((0, *in_dims))), plan, batched=True)
+        assert type(out) is DenseTensor and out.dims == (0, *out_dims) and out.values.size == 0
 
 
 @settings(max_examples=60, deadline=None)

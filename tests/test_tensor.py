@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,12 @@ def test_stack_blocks_orders_blocks_row_major():
         stack_blocks(t, (3, 3, 1))
     with pytest.raises(ValueError, match="order-3"):
         stack_blocks(DenseTensor.vector([1.0]), (1, 1, 1))
+
+
+def test_stack_blocks_refuses_a_zero_size_tensor():
+    for shape in [(0, 4, 4), (2, 0, 2), (2, 2, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"sizes >= 1, got tensor dims {shape}")):
+            stack_blocks(DenseTensor.from_array(np.zeros(shape)), (2, 2, 2))
 
 
 def test_adopt_freezes_without_copying_and_refuses_a_wrong_array():
