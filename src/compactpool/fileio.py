@@ -83,7 +83,8 @@ def write_tensor(t: Union[DenseTensor, ComplexTensor], path) -> None:
     dtype = DTYPE_COMPLEX if is_complex else DTYPE_REAL
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, t.order, dtype, 0)
     dims = b"".join(_DIM.pack(d) for d in t.dims)
-    payload = t.values.astype("<c16" if is_complex else "<f8")
+    # The tensor's own buffer when it is already little-endian, as on most hosts.
+    payload = t.values.astype("<c16" if is_complex else "<f8", copy=False)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
     fh = open(tmp, "xb")
@@ -138,10 +139,12 @@ def read_tensor(path) -> Union[DenseTensor, ComplexTensor]:
     size = _HEADER.size + len(raw_dims) + len(payload)
     if size != expected:
         raise TruncatedPayloadError(f"dims {dims} declare {expected} bytes, file has {size}")
+    # The tensor adopts the bytes just read: one payload-sized buffer per
+    # read, read-only because bytes are immutable. astype copies only on a
+    # big-endian host, to native order.
+    cls = ComplexTensor if dtype == DTYPE_COMPLEX else DenseTensor
     values = np.frombuffer(payload, dtype="<c16" if dtype == DTYPE_COMPLEX else "<f8")
-    if dtype == DTYPE_COMPLEX:
-        return ComplexTensor(dims, values)
-    return DenseTensor(dims, values)
+    return cls._adopt(dims, values.astype(cls._dtype, copy=False))
 
 
 VALID_METHODS = ("mcb", "mct", "poly")

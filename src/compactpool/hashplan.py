@@ -117,6 +117,22 @@ class ModeHash:
         object.__setattr__(self, "hash_table", h)
         object.__setattr__(self, "sign_table", s)
 
+    @classmethod
+    def _adopt(cls, n: int, d: int, hash_table: np.ndarray, sign_table: np.ndarray) -> "ModeHash":
+        """Wrap tables build_plan has just drawn, without copying or re-validating them.
+
+        They are flat int64 of length n, hashes in [0, d) and signs +-1 by
+        construction; they are frozen in place, so they must not be shared.
+        """
+        hash_table.flags.writeable = False
+        sign_table.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "input_size", n)
+        object.__setattr__(m, "output_size", d)
+        object.__setattr__(m, "hash_table", hash_table)
+        object.__setattr__(m, "sign_table", sign_table)
+        return m
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeHash):
             return NotImplemented
@@ -236,7 +252,7 @@ def build_plan(input_dims: Sequence[int], output_dims: Sequence[int], seed: int)
             rng = _mode_rng(seed, m)
             hash_table = rng.integers(0, d, size=n, dtype=np.int64)
             sign_table = rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
-            modes.append(ModeHash(n, d, hash_table, sign_table))
+            modes.append(ModeHash._adopt(n, d, hash_table, sign_table))
         plan = SketchPlan(tuple(modes), seed)
         _memo.put(key, plan)
     return plan

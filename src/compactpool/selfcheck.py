@@ -17,7 +17,7 @@ from . import hashplan, pooling, reference, spectral
 from .fileio import read_tensor, write_tensor
 from .hashplan import build_plan, compose_sum, derive_seed
 from .sketch import decode_estimate
-from .tensor import DenseTensor
+from .tensor import ComplexTensor, DenseTensor
 
 __all__ = ["CHECK_NAMES", "fft_errors", "mcb_error", "mct_error", "padding_error", "run_checks"]
 
@@ -119,13 +119,18 @@ def _check_padding_recovery(seed: int) -> bool:
 
 def _check_roundtrip(seed: int) -> bool:
     rng = np.random.default_rng(derive_seed(seed, "selfcheck-roundtrip"))
-    t = DenseTensor.from_array(rng.standard_normal((2, 3, 4)))
+    real = DenseTensor.from_array(rng.standard_normal((2, 3, 4)))
+    # pool --variant freq writes complex tensors.
+    cplx = ComplexTensor.from_array(rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "roundtrip.tsk"
-        write_tensor(t, path)
-        back = read_tensor(path)
-        if back.dims != t.dims or back.values.tobytes() != t.values.tobytes():
-            return False
+        for t in (real, cplx):
+            write_tensor(t, path)
+            back = read_tensor(path)
+            if type(back) is not type(t) or back.dims != t.dims:
+                return False
+            if back.values.tobytes() != t.values.tobytes():
+                return False
     plan = build_plan([5, 7], [3, 4], derive_seed(seed, "selfcheck-plan"))
     return hashplan.load_plan(hashplan.save_plan(plan)) == plan
 

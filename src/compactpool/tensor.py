@@ -70,7 +70,8 @@ class _Tensor:
         """Wrap an array the library has just allocated, without copying it.
 
         The array is frozen in place, so it must not be shared with a caller;
-        freeze a whole stack before adopting blocks sliced from it.
+        freeze a whole stack before adopting blocks sliced from it. A read-only
+        view of immutable bytes the library has just read qualifies too.
         """
         if values.dtype != cls._dtype or values.size != math.prod(dims):
             raise ValueError(f"cannot adopt {values.dtype} array of {values.size} values as {dims}")

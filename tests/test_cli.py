@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compactpool import pooling, spectral
+from compactpool import pooling, selfcheck, spectral
 from compactpool.cli import main, run_sweep
 from compactpool.fileio import read_tensor, write_tensor
 from compactpool.hashplan import derive_seed
@@ -298,6 +298,17 @@ def test_selfcheck_detects_corrupted_padding(capsys, monkeypatch):
     errors = (padding_error(x, y, 256, derive_seed(0, "pad", k)) for k in range(500))
     assert next(e for e in errors if e is not None) > 1e-9
     assert "PASS mcb-identity" in _selfcheck_fails(capsys, "padding-recovery")
+
+
+def test_selfcheck_detects_a_complex_round_trip_fault(capsys, monkeypatch):
+    real = selfcheck.read_tensor
+
+    def conjugating(path):
+        t = real(path)
+        return ComplexTensor(t.dims, t.values.conj()) if isinstance(t, ComplexTensor) else t
+
+    monkeypatch.setattr(selfcheck, "read_tensor", conjugating)
+    _selfcheck_fails(capsys, "roundtrip")
 
 
 def test_selfcheck_json(capsys):

@@ -178,6 +178,36 @@ def test_size_is_checked_before_the_payload_is_read(tmp_path):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("shape, is_complex", [((2048, 14, 14), False), ((16, 16, 16, 16), True)])
+def test_one_buffer_per_payload(tmp_path, shape, is_complex):
+    rng = np.random.default_rng(3)
+    if is_complex:
+        t = ComplexTensor.from_array(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    else:
+        t = DenseTensor.from_array(rng.standard_normal(shape))
+    path = tmp_path / "t.tsk"
+    write_tensor(t, path)
+    tracemalloc.start()
+    try:
+        write_tensor(t, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        back = read_tensor(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    payload = t.values.nbytes
+    assert read_peak <= 1.1 * payload
+    assert write_peak < 0.1 * payload
+    assert back == t
+    link = back.values
+    while isinstance(link, np.ndarray):
+        assert not link.flags.writeable
+        link = link.base
+    assert link is None or isinstance(link, bytes)
+
+
 def test_pipe_is_read_and_measured_by_reading(tmp_path):
     t = DenseTensor.vector([1.0, -2.5])
     write_tensor(t, tmp_path / "t.tsk")

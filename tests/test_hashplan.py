@@ -175,6 +175,16 @@ def test_mode_hash_validates_tables():
         ModeHash(2, 2, [0], [1])
 
 
+def test_build_plan_tables_equal_the_validated_construction():
+    for m in build_plan([7, 300, 1], [5, 64, 1], 3).modes:
+        checked = ModeHash(m.input_size, m.output_size, m.hash_table.copy(), m.sign_table.copy())
+        assert (type(m.input_size), type(m.output_size)) == (int, int)
+        for table, want in ((m.hash_table, checked.hash_table), (m.sign_table, checked.sign_table)):
+            assert table.dtype == np.int64 and table.shape == (m.input_size,)
+            assert not table.flags.writeable
+            assert table.tobytes() == want.tobytes()
+
+
 def test_derive_seed_is_stable_and_sensitive():
     assert derive_seed(1, "x") == derive_seed(1, "x")
     assert derive_seed(1, "x") != derive_seed(1, "y")
