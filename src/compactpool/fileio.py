@@ -177,27 +177,13 @@ class BenchRecord:
 
 
 def write_csv(records: Iterable[BenchRecord], path) -> None:
-    """Emit records under the fixed header; reals carry 17 significant digits."""
-    def cell(v) -> str:
-        return "" if v is None else str(v)
+    """Emit records under the fixed header; reals carry 17 significant digits.
 
+    Each row is the record's fields in CSV_HEADER order; unused size fields
+    (None) are written as empty cells.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in records:
-            writer.writerow(
-                [
-                    r.method,
-                    cell(r.n1),
-                    cell(r.n2),
-                    cell(r.C),
-                    cell(r.H),
-                    cell(r.W),
-                    cell(r.L),
-                    r.d,
-                    r.trial,
-                    r.seed,
-                    r.metric,
-                    f"{float(r.value):.17g}",
-                ]
-            )
+            writer.writerow([getattr(r, name) for name in CSV_HEADER[:-1]] + [f"{float(r.value):.17g}"])

@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .tensor import _integer, _is_integer
+
 __all__ = [
     "ModeHash",
     "PlanFormatError",
@@ -47,7 +49,7 @@ class PlanFormatError(ValueError):
 
 
 def _norm_seed(seed: int) -> int:
-    return int(seed) % 2**64
+    return _integer(seed, "seed") % 2**64
 
 
 def derive_seed(seed: int, *tokens) -> int:
@@ -62,16 +64,6 @@ def derive_seed(seed: int, *tokens) -> int:
     material = "\x1f".join([str(_norm_seed(seed)), *map(str, tokens)])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _integer(v, what: str) -> int:
-    if not _is_integer(v):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return int(v)
 
 
 def _int_table(values, what: str) -> np.ndarray:
@@ -156,7 +148,7 @@ class SketchPlan:
         if not modes:
             raise ValueError("a plan needs at least one mode")
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
     @property
     def order(self) -> int:
@@ -235,8 +227,8 @@ def build_plan(input_dims: Sequence[int], output_dims: Sequence[int], seed: int)
     independent streams. Repeated calls with the same key return the same
     (immutable) plan object from a bounded memo instead of redrawing it.
     """
-    ins = [int(n) for n in input_dims]
-    outs = [int(d) for d in output_dims]
+    ins = [_integer(n, "input dim") for n in input_dims]
+    outs = [_integer(d, "output dim") for d in output_dims]
     if len(ins) != len(outs):
         raise ValueError(f"input/output dim count mismatch: {len(ins)} vs {len(outs)}")
     if not ins:
@@ -349,7 +341,7 @@ def image_text_plans(
     image_dims: Sequence[int], text_len: int, output_dims: Sequence[int], seed: int
 ) -> tuple[SketchPlan, SketchPlan]:
     """Order-3 image plan onto (d1, d2, d3) plus text vector plan onto d4."""
-    out = [int(d) for d in output_dims]
+    out = list(output_dims)
     if len(out) != 4:
         raise ValueError(f"need four output dims, got {out}")
     return (
@@ -360,6 +352,6 @@ def image_text_plans(
 
 def repeated_vector_plans(n: int, d: int, count: int, seed: int) -> tuple[SketchPlan, ...]:
     """Independent plans for repeated sketching of one vector (factor r = 1..count)."""
-    if count < 1:
+    if _integer(count, "count") < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return tuple(build_plan([n], [d], derive_seed(seed, "x", r)) for r in range(1, count + 1))

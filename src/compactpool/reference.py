@@ -22,7 +22,6 @@ def mcb_oracle(
     d: int,
     seed: int,
     pad: bool = False,
-    cap: int = ORACLE_CAP,
     plans: tuple[SketchPlan, SketchPlan] | None = None,
 ) -> DenseTensor:
     """Literal sketch of the outer product: materialize x (x) y, flatten, scatter.
@@ -36,8 +35,8 @@ def mcb_oracle(
     if pad:
         n1, n2 = x.dims[0], y.dims[0]
         x, y = pad_with_ones(x, n2), pad_with_ones(y, n1)
-    if x.size * y.size > cap:
-        raise OracleCapExceeded(f"{x.size} * {y.size} cells exceeds the oracle cap of {cap}")
+    if x.size * y.size > ORACLE_CAP:
+        raise OracleCapExceeded(f"{x.size} * {y.size} cells exceeds the oracle cap of {ORACLE_CAP}")
     if plans is None:
         plans = paired_vector_plans(x.dims[0], y.dims[0], d, seed)
     composed = compose_sum(*plans)
@@ -54,7 +53,6 @@ def mct_oracle(
     txt: DenseTensor,
     d: int,
     seed: int,
-    cap: int = ORACLE_CAP,
     plans: tuple[SketchPlan, SketchPlan] | None = None,
 ) -> DenseTensor:
     """Literal order-4 sketch: scatter every cell of img (x) txt one at a time.
@@ -64,9 +62,9 @@ def mct_oracle(
     """
     if img.order != 3 or txt.order != 1:
         raise ValueError("mct_oracle needs an order-3 tensor and a vector")
-    if img.size * txt.size > cap:
+    if img.size * txt.size > ORACLE_CAP:
         raise OracleCapExceeded(
-            f"{img.size} * {txt.size} cells exceeds the oracle cap of {cap}"
+            f"{img.size} * {txt.size} cells exceeds the oracle cap of {ORACLE_CAP}"
         )
     if plans is None:
         plans = image_text_plans(img.dims, txt.dims[0], (d, d, d, d), seed)

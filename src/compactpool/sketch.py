@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .hashplan import ModeHash, SketchPlan
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _integer
 
 __all__ = [
     "aggregate_estimates",
@@ -40,8 +40,7 @@ def count_sketch(v: DenseTensor, p: SketchPlan) -> DenseTensor:
     mode = p.modes[0]
     if v.dims[0] != mode.input_size:
         raise ValueError(f"size mismatch: vector {v.dims[0]}, plan {mode.input_size}")
-    w = np.bincount(mode.hash_table, mode.sign_table * v.values, minlength=mode.output_size)
-    return DenseTensor._adopt((mode.output_size,), w)
+    return DenseTensor._adopt((mode.output_size,), _scatter(v.values, [mode], 1, 1))
 
 
 def md_sketch(t: DenseTensor, p: SketchPlan, batched: bool = False) -> DenseTensor:
@@ -141,7 +140,7 @@ def decode_estimate(sketch: DenseTensor, p: SketchPlan, index: Sequence[int]) ->
     Unbiased for the true element over random plans; average estimates from
     independent plans with aggregate_estimates to cut variance.
     """
-    idx = tuple(int(i) for i in index)
+    idx = tuple(_integer(i, "index entry") for i in index)
     if len(idx) != p.order:
         raise IndexError(f"index has {len(idx)} entries for an order-{p.order} plan")
     if sketch.dims != p.output_dims:

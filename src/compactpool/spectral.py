@@ -96,13 +96,13 @@ def indfft(f: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTens
     return _transform(f, batched, np.fft.ifft, np.fft.ifftn)
 
 
-def naive_ndft(t: DenseTensor | ComplexTensor, cap: int = ORACLE_CAP) -> ComplexTensor:
+def naive_ndft(t: DenseTensor | ComplexTensor) -> ComplexTensor:
     """Definitional DFT: F(f) = sum over cells a of t(a) exp(-2i pi sum f_m a_m / d_m).
 
-    O(cells^2); refuses inputs above cap.
+    O(cells^2); refuses inputs above ORACLE_CAP cells.
     """
-    if t.size > cap:
-        raise OracleCapExceeded(f"{t.size} cells exceeds the oracle cap of {cap}")
+    if t.size > ORACLE_CAP:
+        raise OracleCapExceeded(f"{t.size} cells exceeds the oracle cap of {ORACLE_CAP}")
     arr = np.asarray(t.array, dtype=np.complex128)
     if t.order == 0:
         return ComplexTensor((), arr.reshape(-1))

@@ -33,8 +33,21 @@ class CapacityError(ValueError):
     """A requested tensor would exceed the addressable cell budget."""
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _integer(v, what: str) -> int:
+    """v as an int; bools and non-integers (2.5, "3") are refused, never truncated."""
+    if type(v) is int:  # the common case, checked on every plan lookup: one type test
+        return v
+    if not _is_integer(v):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _checked_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(_integer(d, "dims entry") for d in dims)
     if any(d < 0 for d in out):
         raise ValueError(f"dims must be nonnegative, got {out}")
     if math.prod(out) > _MAX_CELLS:
@@ -77,7 +90,7 @@ class _Tensor:
             raise ValueError(f"cannot adopt {values.dtype} array of {values.size} values as {dims}")
         values.flags.writeable = False
         t = object.__new__(cls)
-        object.__setattr__(t, "dims", tuple(int(n) for n in dims))
+        object.__setattr__(t, "dims", tuple(map(int, dims)))
         object.__setattr__(t, "values", values.reshape(-1))
         return t
 
@@ -133,13 +146,6 @@ class DenseTensor(_Tensor):
         v = np.asarray(values, dtype=np.float64).reshape(-1)
         return cls((v.size,), v)
 
-    @classmethod
-    def scalar(cls, value: float) -> "DenseTensor":
-        return cls((), np.array([value]))
-
-    def flattened(self) -> "DenseTensor":
-        return DenseTensor((self.size,), self.values)
-
 
 class ComplexTensor(_Tensor):
     """Complex-valued tensor, same layout conventions as DenseTensor."""
@@ -164,6 +170,7 @@ def pad_with_ones(x: DenseTensor, pad_len: int) -> DenseTensor:
     """Append pad_len ones to a vector: [x; 1, 1, ..., 1]."""
     if x.order != 1:
         raise ValueError(f"pad_with_ones needs an order-1 tensor, got order {x.order}")
+    pad_len = _integer(pad_len, "pad_len")
     if pad_len < 0:
         raise ValueError(f"pad_len must be nonnegative, got {pad_len}")
     return DenseTensor._adopt((x.size + pad_len,), np.concatenate([x.values, np.ones(pad_len)]))
@@ -180,7 +187,7 @@ def stack_blocks(t: DenseTensor, block_dims: Sequence[int]) -> DenseTensor:
         raise ValueError(f"tiling needs an order-3 tensor, got order {t.order}")
     if t.size == 0:
         raise ValueError(f"tiling needs all sizes >= 1, got tensor dims {t.dims}")
-    bdims = tuple(int(b) for b in block_dims)
+    bdims = tuple(_integer(b, "block_dims entry") for b in block_dims)
     if len(bdims) != 3 or any(b < 1 for b in bdims):
         raise ValueError(f"block_dims must be three positive integers, got {bdims}")
     for full, block in zip(t.dims, bdims):

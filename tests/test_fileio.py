@@ -93,7 +93,7 @@ def test_complex_round_trip(tmp_path):
 
 
 def test_scalar_round_trip(tmp_path):
-    t = DenseTensor.scalar(-7.25)
+    t = DenseTensor((), [-7.25])
     path = tmp_path / "s.tsk"
     write_tensor(t, path)
     back = read_tensor(path)

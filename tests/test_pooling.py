@@ -502,3 +502,54 @@ def test_stacked_forward_transforms_equal_separate_ndfft_calls():
         spectrum = spectrum * ndfft(count_sketch(x, p)).values
     want = checked_real(indfft(ComplexTensor((16,), spectrum)).values, "polynomial_sketch")
     assert np.array_equal(polynomial_sketch(x, 3, 16, 4).values, want)
+
+
+_BIG = DenseTensor.vector([1e200])  # its square overflows to inf
+_BIG_IMG = DenseTensor.from_array(np.full((2, 1, 1), 1e200))
+_UNIT = (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("mcb", lambda: mcb(_BIG, _BIG, PoolingConfig((1,), "time"))),
+    ("mcb", lambda: mcb(_BIG, _BIG, PoolingConfig((1,), "frequency"))),
+    ("polynomial_sketch", lambda: polynomial_sketch(_BIG, 2, 1, 0)),
+    ("mct", lambda: mct(DenseTensor.from_array([[[1e200]]]), _BIG, PoolingConfig(_UNIT, "time"))),
+    ("mct", lambda: mct(DenseTensor.from_array([[[1e200]]]), _BIG, PoolingConfig(_UNIT, "frequency"))),
+    ("mct", lambda: local_mct(_BIG_IMG, _BIG, (1, 1, 1), PoolingConfig(_UNIT, "time"))),
+    ("mct", lambda: local_mct(_BIG_IMG, _BIG, (1, 1, 1), PoolingConfig(_UNIT, "frequency"))),
+], ids=["mcb-time", "mcb-frequency", "poly", "mct-time", "mct-frequency",
+        "local_mct-time", "local_mct-frequency"])
+def test_every_exit_refuses_an_overflowing_product(name, call):
+    with pytest.raises(ResidueError, match=f"^{name}: "), pytest.warns(RuntimeWarning):
+        call()
+
+
+_PLAN = build_plan([3], [4], 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DenseTensor((2.9,), [1.0, 2.0]),
+    lambda: build_plan([2.5], [4.7], 1),
+    lambda: build_plan([True], [3], 1),
+    lambda: build_plan([3], [4], 2.7),
+    lambda: repeated_vector_plans(4, 8, True, 0),
+    lambda: PoolingConfig((16.9,), "time"),
+    lambda: PoolingConfig((16,), "time", False, 2.7),
+    lambda: stack_blocks(DenseTensor.from_array(np.zeros((4, 4, 4))), (2.5, 2, 2)),
+    lambda: pad_with_ones(DenseTensor.vector([1.0]), 1.5),
+    lambda: pad_with_ones(DenseTensor.vector([1.0]), True),
+    lambda: polynomial_sketch(DenseTensor.vector([1.0]), 2.0, 4, 0),
+    lambda: polynomial_sketch(DenseTensor.vector([1.0]), 2, 4.0, 0),
+    lambda: decode_estimate(DenseTensor.vector(np.zeros(4)), _PLAN, (1.7,)),
+], ids=["tensor-dims", "plan-sizes", "plan-bool", "plan-seed", "plan-count", "config-dims",
+        "config-seed", "stack_blocks", "pad-float", "pad-bool", "poly-degree", "poly-d", "decode-index"])
+def test_sizes_indices_and_seeds_are_never_truncated(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integers_are_accepted_as_sizes_and_seeds():
+    assert build_plan([np.int32(3)], [np.int64(4)], np.uint64(5)) is build_plan([3], [4], 5)
+    cfg = PoolingConfig((np.int64(8),), "time", False, np.int16(2))
+    assert cfg.output_dims == (8,) and type(cfg.output_dims[0]) is int and cfg.seed == 2
+    assert DenseTensor((np.int64(2),), [1.0, 2.0]).dims == (2,)

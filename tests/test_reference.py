@@ -59,7 +59,7 @@ def test_mcb_oracle_deterministic():
 def test_mcb_oracle_cap():
     x = DenseTensor.vector(np.zeros(300))
     with pytest.raises(OracleCapExceeded):
-        mcb_oracle(x, x, 8, 0, cap=65536)
+        mcb_oracle(x, x, 8, 0)
 
 
 def test_mct_oracle_zero_image():
@@ -92,4 +92,4 @@ def test_mct_oracle_cap():
     img = DenseTensor.from_array(np.zeros((32, 32, 32)))
     txt = DenseTensor.vector(np.zeros(3))
     with pytest.raises(OracleCapExceeded):
-        mct_oracle(img, txt, 4, 0, cap=65536)
+        mct_oracle(img, txt, 4, 0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from compactpool.spectral import (
+    ORACLE_CAP,
     OracleCapExceeded,
     ResidueError,
     checked_finite,
@@ -76,7 +77,7 @@ def test_naive_small_cases():
 
 def test_naive_cap_guard():
     with pytest.raises(OracleCapExceeded):
-        naive_ndft(DenseTensor.vector(np.zeros(100)), cap=64)
+        naive_ndft(DenseTensor.vector(np.zeros(ORACLE_CAP + 1)))
 
 
 def test_parseval():

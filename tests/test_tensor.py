@@ -32,7 +32,7 @@ def test_outer_product_zero_annihilates():
 
 def test_outer_product_flatten():
     out = outer_product(DenseTensor.vector([1, 2]), DenseTensor.vector([3, 4]))
-    assert out.flattened().values.tolist() == [3.0, 4.0, 6.0, 8.0]
+    assert out.values.tolist() == [3.0, 4.0, 6.0, 8.0]
 
 
 def test_outer_product_concatenates_dims():
@@ -44,7 +44,7 @@ def test_outer_product_concatenates_dims():
 
 
 def test_outer_product_with_scalar():
-    s = DenseTensor.scalar(2.5)
+    s = DenseTensor((), [2.5])
     v = DenseTensor.vector([1, 2])
     assert outer_product(s, v).values.tolist() == [2.5, 5.0]
     assert outer_product(s, v).dims == (2,)
@@ -134,7 +134,7 @@ def test_row_major_linearization():
 
 
 def test_order_zero_scalar():
-    s = DenseTensor.scalar(5.0)
+    s = DenseTensor((), [5.0])
     assert s.order == 0
     assert s.dims == ()
     assert s.size == 1
