@@ -22,7 +22,7 @@ from . import pooling, reference, selfcheck
 from .fileio import BenchRecord, read_tensor, write_csv, write_tensor
 from .hashplan import derive_seed
 from .spectral import OracleCapExceeded, ResidueError
-from .tensor import DenseTensor, inner_product
+from .tensor import DenseTensor, _checked_dims, inner_product
 
 __all__ = ["entry", "main", "run_sweep"]
 
@@ -53,11 +53,10 @@ def _parse_ints(text: str, what: str, sep: str = ",") -> tuple[int, ...]:
 
 
 def _cmd_gen(args) -> int:
-    dims = _parse_ints(args.shape, "shape", "x")
+    dims = _checked_dims(_parse_ints(args.shape, "shape", "x"))
     rng = np.random.default_rng(args.seed % 2**64)
-    n = int(np.prod(dims))
-    values = rng.standard_normal(n) if args.dist == "gauss" else rng.random(n)
-    write_tensor(DenseTensor(dims, values), args.out)
+    values = rng.standard_normal(dims) if args.dist == "gauss" else rng.random(dims)
+    write_tensor(DenseTensor.from_array(values), args.out)
     print(f"wrote {args.out}: dims {dims}, dist {args.dist}, seed {args.seed}")
     return EXIT_OK
 
@@ -76,7 +75,7 @@ def _read_input(path) -> DenseTensor:
 
 
 def _cmd_pool(args) -> int:
-    a = _read_input(args.a)
+    side = [_read_input(args.a)]
     dims = _parse_ints(args.dims, "--dims")
     if args.pad and args.mode != "mcb":
         raise UsageError("--pad applies to mcb only")
@@ -87,20 +86,14 @@ def _cmd_pool(args) -> int:
             raise UsageError("poly supports only --variant time")
         if len(dims) != 1:
             raise UsageError(f"poly needs one output dim, got {dims}")
-        if args.degree < 1:
-            raise UsageError(f"--degree must be >= 1, got {args.degree}")
-        start = time.perf_counter_ns()
-        out = pooling.polynomial_sketch(a, args.degree, dims[0], args.seed)
-        elapsed = time.perf_counter_ns() - start
+    elif args.b is None:
+        raise UsageError(f"{args.mode} needs --b")
     else:
-        if args.b is None:
-            raise UsageError(f"{args.mode} needs --b")
-        b = _read_input(args.b)
-        cfg = pooling.PoolingConfig(dims, _variant(args.variant), args.pad, args.seed)
-        start = time.perf_counter_ns()
-        feature = pooling.mcb(a, b, cfg) if args.mode == "mcb" else pooling.mct(a, b, cfg)
-        elapsed = time.perf_counter_ns() - start
-        out = feature.data
+        side.append(_read_input(args.b))
+    cfg = pooling.PoolingConfig(dims, _variant(args.variant), args.pad, args.seed)
+    start = time.perf_counter_ns()
+    out = _METHODS[args.mode].pool(side, cfg, args.degree)
+    elapsed = time.perf_counter_ns() - start
     write_tensor(out, args.out)
     print(f"output dims {out.dims}; pool time {elapsed / 1e6:.3f} ms")
     return EXIT_OK
@@ -250,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     pool = sub.add_parser("pool", help="run a pooling operator on tensor files")
-    pool.add_argument("--mode", required=True, choices=("mcb", "mct", "poly"))
+    pool.add_argument("--mode", required=True, choices=tuple(_METHODS))
     pool.add_argument("--a", required=True, help="first input tensor file")
     pool.add_argument("--b", help="second input tensor file (mcb, mct)")
     pool.add_argument("--dims", required=True, help="output dims d1[,d2,d3,d4]")

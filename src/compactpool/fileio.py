@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .tensor import ComplexTensor, DenseTensor
+from .tensor import ComplexTensor, DenseTensor, _checked_dims
 
 __all__ = [
     "BadMagicError",
@@ -127,6 +127,10 @@ def read_tensor(path) -> Union[DenseTensor, ComplexTensor]:
         cells = math.prod(dims)
         if cells > _MAX_FILE_CELLS:
             raise DimsOverflowError(f"dims {dims} declare {cells} cells, over {_MAX_FILE_CELLS}")
+        try:
+            _checked_dims(dims)
+        except ValueError as e:  # more modes than a NumPy array can hold
+            raise TensorFileError(f"order {order} header: {e}") from None
         itemsize = 16 if dtype == DTYPE_COMPLEX else 8
         expected = _HEADER.size + len(raw_dims) + cells * itemsize
         regular = stat.S_ISREG(st.st_mode)

@@ -9,7 +9,8 @@ one per tile for local_mct), then leave through _leave. The "time" variant
 (real output) inverts the stack in one batched transform and checks each
 block's imaginary residue; the "frequency" variant keeps the complex product
 and skips the inverse. Either variant raises ResidueError rather than return
-non-finite values.
+non-finite values. mcb, mct and local_mct return PooledFeature(data, plans),
+whose domain is its data's type: ComplexTensor "frequency", DenseTensor "time".
 
 Plan seeds are derived deterministically from the config seed, so a single
 (config, inputs) pair reproduces the whole pipeline. Outputs are
@@ -69,20 +70,15 @@ class PoolingConfig:
 
 @dataclass(frozen=True, eq=False)
 class PooledFeature:
-    """Pooling result: real data in the time domain, complex in the frequency domain."""
+    """A pooling result and the plans that made it; its data's type gives its domain."""
 
     data: DenseTensor | ComplexTensor
-    config: PoolingConfig
     plans: tuple[hashplan.SketchPlan, ...]
-
-    def __post_init__(self) -> None:
-        if isinstance(self.data, ComplexTensor) != (self.domain == "frequency"):
-            raise ValueError(f"{self.domain}-domain data has the wrong value type")
 
     @property
     def domain(self) -> str:
-        """The config's variant: "time" or "frequency"."""
-        return self.config.variant
+        """The data's domain: "frequency" for complex data, "time" otherwise."""
+        return "frequency" if isinstance(self.data, ComplexTensor) else "time"
 
 
 def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
@@ -105,7 +101,7 @@ def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
         x, y = pad_with_ones(x, y.dims[0]), pad_with_ones(y, x.dims[0])
     px, py = hashplan.paired_vector_plans(x.dims[0], y.dims[0], d, cfg.seed)
     (data,) = _leave(_spectra([(x, px), (y, py)]), cfg.variant, "mcb")
-    return PooledFeature(data, cfg, (px, py))
+    return PooledFeature(data, (px, py))
 
 
 def _spectra(pairs: Sequence[tuple[DenseTensor, hashplan.SketchPlan]]) -> np.ndarray:
@@ -177,7 +173,7 @@ def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> li
     fw = ndfft(count_sketch(txt, p_txt)).values
     idx = (np.arange(d1)[:, None, None] + np.arange(d2)[:, None] + np.arange(d3)) % d4
     plans = (p_img, p_txt)
-    return [PooledFeature(data, cfg, plans) for data in _leave(fx * fw[idx], cfg.variant, "mct")]
+    return [PooledFeature(data, plans) for data in _leave(fx * fw[idx], cfg.variant, "mct")]
 
 
 def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTensor:

@@ -157,10 +157,15 @@ def decode_estimate(sketch: DenseTensor, p: SketchPlan, index: Sequence[int]) ->
 
 
 def aggregate_estimates(estimates: Sequence[float], strategy: str = "mean") -> float:
-    """Combine estimates from independent plans: arithmetic mean or lower median."""
+    """Combine estimates from independent plans: arithmetic mean or lower median.
+
+    Either refuses NaN or infinite estimates, which a median would sort aside.
+    """
     vals = np.asarray(list(estimates), dtype=np.float64)
     if vals.size == 0:
         raise ValueError("cannot aggregate an empty sequence")
+    if not np.isfinite(vals).all():
+        raise ValueError("cannot aggregate non-finite (NaN or infinite) estimates")
     if strategy == "mean":
         return float(vals.mean())
     if strategy == "median":

@@ -1,10 +1,11 @@
 """Dense real and complex tensors with the structural operations sketching builds on.
 
 Tensors are immutable value objects: the backing array is read-only, and
-every operation returns a fresh tensor. The public constructors copy what
-they are given; arrays the library has just allocated are adopted without a
-copy. Values are 64-bit (complex128 for the complex variant), stored flat in
-row-major order with the last index varying fastest.
+every operation returns a fresh tensor. The public constructors copy and
+convert what they are given (a DenseTensor refuses complex values); arrays the
+library has just allocated are adopted without a copy. A tensor has at most
+as many modes as a NumPy array. Values are 64-bit (complex128 for the complex
+variant), stored flat in row-major order with the last index varying fastest.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ def _checked_dims(dims: Iterable[int]) -> tuple[int, ...]:
         raise ValueError(f"dims must be nonnegative, got {out}")
     if math.prod(out) > _MAX_CELLS:
         raise CapacityError(f"dims {out} address {math.prod(out)} cells, over the {_MAX_CELLS} cap")
+    np.empty((0,) * len(out))  # NumPy's own refusal of more modes than an array can hold
     return out
 
 
@@ -96,7 +98,7 @@ class _Tensor:
 
     @classmethod
     def from_array(cls: type[_T], arr) -> _T:
-        a = np.asarray(arr, dtype=cls._dtype)
+        a = np.asarray(arr)
         return cls(a.shape, a.reshape(-1))
 
     @property
@@ -143,7 +145,7 @@ class DenseTensor(_Tensor):
 
     @classmethod
     def vector(cls, values) -> "DenseTensor":
-        v = np.asarray(values, dtype=np.float64).reshape(-1)
+        v = np.asarray(values).reshape(-1)
         return cls((v.size,), v)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compactpool import pooling, selfcheck, spectral
+from compactpool import cli, fileio, pooling, selfcheck, spectral
 from compactpool.cli import main, run_sweep
 from compactpool.fileio import read_tensor, write_tensor
 from compactpool.hashplan import derive_seed
@@ -50,6 +50,39 @@ def test_gen_uniform_range(tmp_path):
     t = read_tensor(out)
     assert t.dims == (16,)
     assert np.all(t.values >= 0.0) and np.all(t.values < 1.0)
+
+
+@pytest.mark.parametrize("order", [65, 256])
+def test_gen_refuses_more_modes_than_a_numpy_array_holds(tmp_path, capsys, order):
+    out = tmp_path / "x.tsk"
+    rc = main(["gen", "--shape", "x".join(["1"] * order), "--dist", "gauss", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert "dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_over_the_cell_cap_refuses_before_it_draws(tmp_path, monkeypatch, capsys):
+    # np.prod would wrap 2**32 * (2**32 + 1) cells to 2**32 and draw 32 GiB.
+    class NoDraws:
+        def standard_normal(self, size):
+            raise AssertionError(f"drew {size}")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+    rc = main(["gen", "--shape", "4294967296x4294967297", "--dist", "gauss", "--seed", "1",
+               "--out", str(tmp_path / "x.tsk")])
+    assert rc == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_gen_draws_by_shape_as_one_flat_stream(tmp_path):
+    out = tmp_path / "x.tsk"
+    assert main(["gen", "--shape", "3x4x5", "--dist", "uniform", "--seed", "8", "--out", str(out)]) == 0
+    assert read_tensor(out).values.tolist() == np.random.default_rng(8).random(60).tolist()
+
+
+def test_the_cli_methods_are_the_csv_methods():
+    assert tuple(cli._METHODS) == fileio.VALID_METHODS
 
 
 def _gen_inputs(tmp_path):
@@ -129,6 +162,24 @@ def test_pool_pad_only_for_mcb(tmp_path):
     rc = main(["pool", "--mode", "mct", "--a", str(img), "--b", str(txt), "--pad",
                "--dims", "4,4,4,4", "--seed", "1", "--out", str(tmp_path / "o.tsk")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "poly", "--a", "{vec}", "--b", "{vec}", "--dims", "8"], "--b applies to mcb and mct"),
+    (["--mode", "poly", "--a", "{vec}", "--variant", "freq", "--dims", "8"], "only --variant time"),
+    (["--mode", "poly", "--a", "{vec}", "--dims", "8,8"], "one output dim"),
+    (["--mode", "poly", "--a", "{vec}", "--degree", "0", "--dims", "8"], "degree must be >= 1"),
+    (["--mode", "mcb", "--a", "{cplx}", "--b", "{vec}", "--dims", "8"], "holds complex values"),
+], ids=["poly-b", "poly-freq", "poly-two-dims", "poly-degree-0", "complex-input"])
+def test_pool_refuses_bad_flags_and_inputs(tmp_path, capsys, flags, message):
+    files = {"vec": tmp_path / "v.tsk", "cplx": tmp_path / "c.tsk"}
+    write_tensor(DenseTensor.vector([1.0, 2.0]), files["vec"])
+    write_tensor(ComplexTensor.from_array(np.array([1 + 2j, 3.0])), files["cplx"])
+    out = tmp_path / "o.tsk"
+    rc = main(["pool", *(arg.format(**files) for arg in flags), "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pool_missing_file_gives_io_error(tmp_path):
@@ -253,7 +304,7 @@ def _corrupt_pooling(monkeypatch, name, padded_only=False):
         feature = real(a, b, cfg)
         if padded_only and not cfg.pad_with_ones:
             return feature
-        return pooling.PooledFeature(_nudged(feature.data), cfg, feature.plans)
+        return pooling.PooledFeature(_nudged(feature.data), feature.plans)
 
     monkeypatch.setattr(pooling, name, corrupted)
 

@@ -50,13 +50,12 @@ def test_config_validation():
         PoolingConfig((0,), "time")
 
 
-def test_pooled_feature_domain_consistency():
-    cfg = PoolingConfig((2,), "time")
-    with pytest.raises(ValueError):
-        PooledFeature(ComplexTensor((2,), np.zeros(2, complex)), cfg, ())
-    with pytest.raises(ValueError):
-        PooledFeature(DenseTensor.vector([0.0, 0.0]), PoolingConfig((2,), "frequency"), ())
-    assert PooledFeature(DenseTensor.vector([0.0, 0.0]), cfg, ()).domain == "time"
+def test_pooled_feature_domain_follows_the_data_type():
+    assert PooledFeature(DenseTensor.vector([0.0, 0.0]), ()).domain == "time"
+    assert PooledFeature(ComplexTensor((2,), np.zeros(2, complex)), ()).domain == "frequency"
+    x, y = _gauss_vec(4, 0), _gauss_vec(4, 1)
+    for variant in ("time", "frequency"):
+        assert mcb(x, y, PoolingConfig((8,), variant)).domain == variant
 
 
 def test_mcb_zero_inputs_give_zero():

@@ -213,6 +213,11 @@ def test_aggregate_estimates():
         aggregate_estimates([], "mean")
     with pytest.raises(ValueError):
         aggregate_estimates([1.0], "mode")
+    # A median sorts NaN last, so [nan, 1, 2] would otherwise give 2.0.
+    for bad in (np.nan, np.inf, -np.inf):
+        for strategy in ("mean", "median"):
+            with pytest.raises(ValueError, match="non-finite"):
+                aggregate_estimates([bad, 1.0, 2.0], strategy)
 
 
 @st.composite

@@ -178,6 +178,19 @@ def test_complex_tensor_round_shape():
 def test_dense_rejects_complex_values():
     with pytest.raises(ValueError):
         DenseTensor((2,), np.array([1 + 1j, 2 + 0j]))
+    # from_array and vector leave the conversion to the constructor: converting
+    # first would drop the imaginary part with only a ComplexWarning.
+    for make in (DenseTensor.from_array, DenseTensor.vector):
+        for value in (1 + 1j, 1 + 0j):
+            with pytest.raises(ValueError, match="real values"):
+                make(np.array([value]))
+
+
+def test_a_tensor_has_no_more_modes_than_a_numpy_array():
+    assert DenseTensor((1,) * 32, [1.0]).array.ndim == 32  # every supported NumPy holds 32
+    for order in (65, 256):
+        with pytest.raises(ValueError, match="dimension"):
+            DenseTensor((1,) * order, [1.0])
 
 
 @pytest.mark.parametrize("cls, dtype", [(DenseTensor, np.float64), (ComplexTensor, np.complex128)])
