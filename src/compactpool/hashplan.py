@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 PLAN_FORMAT_VERSION = 1
-# Bytes build_plan's memo may hold (see _PlanMemo): each plan counts its
+# Bytes each memo may hold (see _Memo): a build_plan plan counts its
 # hash/sign tables at 16 bytes per entry plus _MODE_OVERHEAD per mode for the
 # Python objects around them, which dominate for small plans.
 _MEMO_BYTES = 2**20
@@ -176,48 +176,50 @@ def _plan_bytes(plan: SketchPlan) -> int:
     return sum(m.hash_table.nbytes + m.sign_table.nbytes + _MODE_OVERHEAD for m in plan.modes)
 
 
-class _PlanMemo:
-    """Built plans by (input_dims, output_dims, seed), least recently used first.
+class _Memo:
+    """Values by key, least recently used first, each counted as size(value) bytes.
 
-    Holds at most _MEMO_BYTES of plans; a plan larger than that is not kept.
-    Sharing is safe because plans are frozen and their tables read-only.
+    Holds at most _MEMO_BYTES; a value larger than that is not kept. Sharing
+    is safe because the values are immutable: build_plan keeps frozen plans
+    with read-only tables, pooling its read-only shear maps.
     """
 
-    def __init__(self) -> None:
-        self._plans: OrderedDict[tuple, SketchPlan] = OrderedDict()
+    def __init__(self, size) -> None:
+        self._size = size
+        self._values: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self.nbytes = 0
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self._values)
 
-    def get(self, key: tuple) -> SketchPlan | None:
+    def get(self, key):
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-            return plan
+            value = self._values.get(key)
+            if value is not None:
+                self._values.move_to_end(key)
+            return value
 
-    def put(self, key: tuple, plan: SketchPlan) -> None:
-        size = _plan_bytes(plan)
+    def put(self, key, value) -> None:
+        size = self._size(value)
         if size > _MEMO_BYTES:
             return
         with self._lock:
-            if key in self._plans:
+            if key in self._values:
                 return
-            self._plans[key] = plan
+            self._values[key] = value
             self.nbytes += size
             while self.nbytes > _MEMO_BYTES:
-                _, old = self._plans.popitem(last=False)
-                self.nbytes -= _plan_bytes(old)
+                _, old = self._values.popitem(last=False)
+                self.nbytes -= self._size(old)
 
     def clear(self) -> None:
         with self._lock:
-            self._plans.clear()
+            self._values.clear()
             self.nbytes = 0
 
 
-_memo = _PlanMemo()
+_memo = _Memo(_plan_bytes)
 
 
 def build_plan(input_dims: Sequence[int], output_dims: Sequence[int], seed: int) -> SketchPlan:

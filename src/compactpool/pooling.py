@@ -6,11 +6,15 @@ the sketch of a text vector through their spectra. Every operator runs one
 pipeline: sketch each input, transform, multiply the spectra into a
 (count, *dims) product stack (one block for mcb, polynomial_sketch and mct,
 one per tile for local_mct), then leave through _leave. The "time" variant
-(real output) inverts the stack in one batched transform and checks each
-block's imaginary residue; the "frequency" variant keeps the complex product
-and skips the inverse. Either variant raises ResidueError rather than return
-non-finite values. mcb, mct and local_mct return PooledFeature(data, plans),
-whose domain is its data's type: ComplexTensor "frequency", DenseTensor "time".
+(real output) holds spectra along the last mode only: it inverts them in one
+batched row transform and checks each block's imaginary residue. Time mct
+gets there by shearing its sketch, which turns the convolution along the
+(1, 1, 1) diagonal into d*d length-d row convolutions, and unshears each
+block on the way out. The "frequency" variant keeps the complex product (for
+mct, the full 3-D spectrum) and skips the inverse. Either variant raises
+ResidueError rather than return non-finite values. mcb, mct and local_mct
+return PooledFeature(data, plans), whose domain is its data's type:
+ComplexTensor "frequency", DenseTensor "time".
 
 Plan seeds are derived deterministically from the config seed, so a single
 (config, inputs) pair reproduces the whole pipeline. Outputs are
@@ -59,12 +63,17 @@ class PoolingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.output_dims, (Sequence, np.ndarray)):
+            raise ValueError(f"output_dims must be a sequence, got {self.output_dims!r}")
         dims = tuple(_integer(d, "output_dims entry") for d in self.output_dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"output_dims must be positive integers, got {dims}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not isinstance(self.pad_with_ones, (bool, np.bool_)):
+            raise ValueError(f"pad_with_ones must be a bool, got {self.pad_with_ones!r}")
         object.__setattr__(self, "output_dims", dims)
+        object.__setattr__(self, "pad_with_ones", bool(self.pad_with_ones))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
 
@@ -122,18 +131,42 @@ def _leave(product: np.ndarray, variant: str, where: str) -> list[DenseTensor | 
     product is complex128 and must not be shared with a caller; it is frozen
     in place.
     Frequency: the product itself, checked finite, each block a view of the
-    one read-only stack. Time: one batched inverse transform, then each
-    block's real part after its own residue check. Errors name ``where``.
+    one read-only stack. Time: product holds spectra along its last mode
+    only; one batched inverse transform along that mode, then each block's
+    real part after its own residue check. Errors name ``where``.
     """
     dims = product.shape[1:]
-    stack = ComplexTensor._adopt(product.shape, product)
+    rows = ComplexTensor._adopt((product.size // dims[-1], dims[-1]), product)
     if variant == "frequency":
         checked_finite(product, where)
         return [ComplexTensor._adopt(dims, block) for block in product]
     return [
         DenseTensor._adopt(dims, checked_real(block, where))
-        for block in indfft(stack, batched=True).array
+        for block in indfft(rows, batched=True).array.reshape(product.shape)
     ]
+
+
+# The maps of d take 16 * d**3 bytes: within the memo's 1 MiB, d <= 32 is
+# built once and a larger d per call.
+_shear_memo = hashplan._Memo(lambda maps: sum(m.nbytes for m in maps))
+
+
+def _shear_maps(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index maps (shear, unshear) of a d x d x d cube, read-only and memoised per d.
+
+    X.ravel()[shear] is Z(u, v, c) = X((u + c) mod d, (v + c) mod d, c), which
+    turns a circular convolution along the (1, 1, 1) diagonal into one along
+    c; Z.ravel()[unshear] undoes it.
+    """
+    maps = _shear_memo.get(d)
+    if maps is None:
+        a, b, c = np.ogrid[:d, :d, :d]
+        maps = ((((a + c) % d * d + (b + c) % d) * d + c).ravel(),
+                (((a - c) % d * d + (b - c) % d) * d + c).ravel())
+        for m in maps:
+            m.flags.writeable = False
+        _shear_memo.put(d, maps)
+    return maps
 
 
 def mct(img: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
@@ -143,8 +176,12 @@ def mct(img: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> PooledFeature
     Y(t1, t2, t3) = ndfft(md_sketch(img))(t1, t2, t3)
                   * ndfft(count_sketch(txt))((t1 + t2 + t3) mod d4).
     Time variant: the inverse transform of the above, real-valued; only
-    defined when d1 = d2 = d3 = d4, where the spectral product is an exact
-    cyclic convolution along the (1, 1, 1) diagonal.
+    defined when d1 = d2 = d3 = d4 = d, where the spectral product is an exact
+    cyclic convolution along the (1, 1, 1) diagonal. It is computed without
+    the 3-D transforms: the sketch is sheared into d*d rows
+    Z(u, v, c) = X((u + c) mod d, (v + c) mod d, c), each row is convolved with
+    the text sketch through a length-d transform, and the result is unsheared,
+    Y(t1, t2, t3) = Ys((t1 - t3) mod d, (t2 - t3) mod d, t3).
     """
     (feature,) = _mct_blocks(DenseTensor._adopt((1, *img.dims), img.values), txt, cfg)
     return feature
@@ -154,8 +191,9 @@ def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> li
     """mct of each block of a (count, C, H, W) stack against one text vector.
 
     All blocks share one image plan and one text plan; their sketches come
-    from one batched scatter and their spectra from one transform each way.
-    The residue check stays per block (see _leave).
+    from one batched scatter and their spectra from one transform each way
+    (over the sheared rows in the time variant). The residue check stays per
+    block (see _leave), and each time block is unsheared into its own array.
     """
     if blocks.order != 4 or txt.order != 1:
         raise ValueError("mct needs an order-3 tensor and a vector")
@@ -169,11 +207,20 @@ def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> li
             f"time-variant mct requires equal output dims, got {cfg.output_dims}"
         )
     p_img, p_txt = hashplan.image_text_plans(blocks.dims[1:], txt.dims[0], cfg.output_dims, cfg.seed)
-    fx = ndfft(md_sketch(blocks, p_img, batched=True), batched=True).array
-    fw = ndfft(count_sketch(txt, p_txt)).values
-    idx = (np.arange(d1)[:, None, None] + np.arange(d2)[:, None] + np.arange(d3)) % d4
     plans = (p_img, p_txt)
-    return [PooledFeature(data, plans) for data in _leave(fx * fw[idx], cfg.variant, "mct")]
+    sketches = md_sketch(blocks, p_img, batched=True)
+    fw = ndfft(count_sketch(txt, p_txt)).values
+    if cfg.variant == "frequency":
+        idx = (np.arange(d1)[:, None, None] + np.arange(d2)[:, None] + np.arange(d3)) % d4
+        product = ndfft(sketches, batched=True).array * fw[idx]
+        return [PooledFeature(data, plans) for data in _leave(product, "frequency", "mct")]
+    shear, unshear = _shear_maps(d4)
+    rows = np.take(sketches.values.reshape(blocks.dims[0], -1), shear, axis=1).reshape(-1, d4)
+    product = ndfft(DenseTensor._adopt(rows.shape, rows), batched=True).array * fw
+    return [
+        PooledFeature(DenseTensor._adopt(block.dims, block.values[unshear]), plans)
+        for block in _leave(product.reshape(sketches.dims), "time", "mct")
+    ]
 
 
 def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTensor:

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compactpool import hashplan, pooling
 from compactpool.hashplan import (
     build_plan,
     compose_sum,
@@ -48,6 +51,30 @@ def test_config_validation():
         PoolingConfig((4,), "spectral")
     with pytest.raises(ValueError):
         PoolingConfig((0,), "time")
+
+
+@pytest.mark.parametrize("args", [
+    ((8,), "time", "no"),
+    ((8,), "time", 0.5),
+    ((8,), "time", 1),
+    ((8,), "time", 0),
+    ((8,), "time", None),
+    ((8,), "time", np.int64(1)),
+    (16,),
+    (None,),
+    (iter([8]),),
+    ({8},),
+], ids=["pad-str", "pad-float", "pad-int-1", "pad-int-0", "pad-none", "pad-np-int",
+        "dims-int", "dims-none", "dims-iterator", "dims-set"])
+def test_config_refuses_a_non_bool_pad_and_non_sequence_dims(args):
+    with pytest.raises(ValueError, match="must be a (bool|sequence)"):
+        PoolingConfig(*args)
+
+
+def test_config_takes_numpy_bools_and_dim_arrays():
+    cfg = PoolingConfig(np.array([8]), "time", np.True_)
+    assert cfg.output_dims == (8,) and cfg.pad_with_ones is True
+    assert PoolingConfig([8], "time", np.False_).pad_with_ones is False
 
 
 def test_pooled_feature_domain_follows_the_data_type():
@@ -552,3 +579,172 @@ def test_numpy_integers_are_accepted_as_sizes_and_seeds():
     cfg = PoolingConfig((np.int64(8),), "time", False, np.int16(2))
     assert cfg.output_dims == (8,) and type(cfg.output_dims[0]) is int and cfg.seed == 2
     assert DenseTensor((np.int64(2),), [1.0, 2.0]).dims == (2,)
+
+
+def _mct_3d(img, txt, plans, d):
+    """Time mct by the 3-D formula: checked_real(indfft(ndfft(X) * ndfft(w)[idx]))."""
+    p_img, p_txt = plans
+    fx = ndfft(md_sketch(img, p_img)).array
+    fw = ndfft(count_sketch(txt, p_txt)).values
+    idx = (np.arange(d)[:, None, None] + np.arange(d)[:, None] + np.arange(d)) % d
+    return checked_real(indfft(ComplexTensor.from_array(fx * fw[idx])).array, "mct")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("count", [1, 4])
+def test_sheared_time_mct_equals_the_3d_formula(d, count):
+    rng = np.random.default_rng(100 + d)
+    block_dims = (3, 4, 5)
+    img = DenseTensor.from_array(rng.standard_normal((3, 4 * count, 5)))
+    txt = DenseTensor.vector(rng.standard_normal(6))
+    cfg = PoolingConfig((d,) * 4, "time", False, d)
+    features = [f for _, f in local_mct(img, txt, block_dims, cfg)]
+    if count == 1:
+        features.append(mct(img, txt, cfg))
+    for feature, block in zip(features, _blocks(img, block_dims) * 2):
+        want = _mct_3d(block, txt, feature.plans, d)
+        assert np.max(np.abs(feature.data.array - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sheared_time_mct_equals_the_3d_formula_at_vqa_scale():
+    rng = np.random.default_rng(110)
+    img = DenseTensor.from_array(rng.standard_normal((2048, 14, 14)))
+    txt = DenseTensor.vector(rng.standard_normal(2048))
+    out = mct(img, txt, PoolingConfig((16,) * 4, "time", False, 3))
+    want = _mct_3d(img, txt, out.plans, 16)
+    assert np.max(np.abs(out.data.array - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_sheared_time_mct_matches_the_oracle(d):
+    rng = np.random.default_rng(120 + d)
+    img = DenseTensor.from_array(rng.standard_normal((3, 4, 5)))
+    txt = DenseTensor.vector(rng.standard_normal(6))
+    out = mct(img, txt, PoolingConfig((d,) * 4, "time", False, 40 + d))
+    assert np.max(np.abs(out.data.values - mct_oracle(img, txt, d, 40 + d).values)) <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4, 4), (2, 3, 4, 5)])
+def test_frequency_mct_is_the_bitwise_3d_spectral_product(dims):
+    rng = np.random.default_rng(130)
+    img = DenseTensor.from_array(rng.standard_normal((3, 4, 5)))
+    txt = DenseTensor.vector(rng.standard_normal(6))
+    out = mct(img, txt, PoolingConfig(dims, "frequency", False, 9))
+    p_img, p_txt = out.plans
+    d1, d2, d3, d4 = dims
+    idx = (np.arange(d1)[:, None, None] + np.arange(d2)[:, None] + np.arange(d3)) % d4
+    want = ndfft(md_sketch(img, p_img)).array * ndfft(count_sketch(txt, p_txt)).values[idx]
+    assert np.array_equal(out.data.array, want)
+
+
+@pytest.fixture
+def shear_memo():
+    pooling._shear_memo.clear()
+    yield pooling._shear_memo
+    pooling._shear_memo.clear()
+
+
+def test_shear_maps_undo_each_other_and_are_read_only(shear_memo):
+    for d in (1, 2, 5, 8):
+        shear, unshear = pooling._shear_maps(d)
+        assert not shear.flags.writeable and not unshear.flags.writeable
+        assert np.array_equal(shear[unshear], np.arange(d**3))
+        u, v, c = np.unravel_index(np.arange(d**3), (d, d, d))
+        assert np.array_equal(shear, np.ravel_multi_index(((u + c) % d, (v + c) % d, c), (d, d, d)))
+        assert pooling._shear_maps(d) is shear_memo.get(d)
+
+
+def test_shear_memo_stays_within_its_bound(shear_memo):
+    # The maps of d = 1..32 together take 4.4 MiB, over the 1 MiB bound.
+    for d in range(1, 33):
+        maps = pooling._shear_maps(d)
+        assert shear_memo.nbytes <= hashplan._MEMO_BYTES
+        assert shear_memo.get(d) is maps
+    assert shear_memo.get(1) is None
+
+
+def test_shear_memo_keeps_its_byte_count_under_concurrent_calls(shear_memo):
+    errors = []
+
+    def worker(w):
+        try:
+            for i in range(30):
+                d = 20 + (w * 5 + i) % 13  # d = 20..32 evicts: 2.3 MiB of maps in all
+                shear, _ = pooling._shear_maps(d)
+                assert shear.size == d**3
+        except Exception as e:  # surfaced by the assertion below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors and not any(t.is_alive() for t in threads)
+    held = [shear_memo.get(d) for d in range(20, 33)]
+    assert shear_memo.nbytes == sum(m.nbytes for maps in held if maps for m in maps)
+    assert shear_memo.nbytes <= hashplan._MEMO_BYTES
+
+
+def test_shear_memo_skips_maps_over_its_bound(shear_memo):
+    shear, unshear = pooling._shear_maps(64)  # 2 * 64**3 * 8 bytes = 4 MiB
+    assert shear.nbytes + unshear.nbytes > hashplan._MEMO_BYTES
+    assert not shear.flags.writeable and not unshear.flags.writeable
+    assert len(shear_memo) == 0 and shear_memo.nbytes == 0
+
+
+def _local_features(variant):
+    rng = np.random.default_rng(140)
+    img = DenseTensor.from_array(rng.standard_normal((4, 4, 6)))
+    cfg = PoolingConfig((3, 3, 3, 3), variant, False, 5)
+    return [f.data for _, f in local_mct(img, _gauss_vec(4, 141), (2, 2, 3), cfg)]
+
+
+def _owner(values):
+    return values if values.base is None else values.base
+
+
+def test_time_local_mct_blocks_each_own_their_values():
+    # Disjoint rows of one stack would share no bytes yet keep the whole stack alive.
+    blocks = _local_features("time")
+    owners = [_owner(b.values) for b in blocks]
+    assert len(blocks) == 8
+    assert len({id(o) for o in owners}) == 8
+    assert all(o.size == b.size for o, b in zip(owners, blocks))
+
+
+def test_frequency_local_mct_blocks_are_views_of_one_read_only_stack():
+    blocks = _local_features("frequency")
+    stack = _owner(blocks[0].values)
+    assert stack.shape == (8, 3, 3, 3) and not stack.flags.writeable
+    for i, block in enumerate(blocks):
+        assert _owner(block.values) is stack
+        assert np.shares_memory(block.values, stack[i])
+
+
+_EXIT_CHECKS = {"indfft", "checked_real", "checked_finite"}
+
+
+def test_only_leave_calls_the_inverse_transform_and_the_exit_checks():
+    tree = ast.parse(Path(pooling.__file__).read_text())
+    callers = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", f"{where}.<lambda>"))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in _EXIT_CHECKS:
+                    callers.add((where, name))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    assert callers == {("_leave", name) for name in _EXIT_CHECKS}
