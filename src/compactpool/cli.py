@@ -74,11 +74,19 @@ def _read_input(path) -> DenseTensor:
     return t
 
 
+def _degree(method: str, degree: Optional[int]) -> int:
+    """poly's degree, 2 when --degree is unset; refused for the other methods."""
+    if degree is not None and method != "poly":
+        raise UsageError("--degree applies to poly only")
+    return 2 if degree is None else degree
+
+
 def _cmd_pool(args) -> int:
     side = [_read_input(args.a)]
     dims = _parse_ints(args.dims, "--dims")
     if args.pad and args.mode != "mcb":
         raise UsageError("--pad applies to mcb only")
+    degree = _degree(args.mode, args.degree)
     if args.mode == "poly":
         if args.b is not None:
             raise UsageError("--b applies to mcb and mct only")
@@ -92,7 +100,7 @@ def _cmd_pool(args) -> int:
         side.append(_read_input(args.b))
     cfg = pooling.PoolingConfig(dims, _variant(args.variant), args.pad, args.seed)
     start = time.perf_counter_ns()
-    out = _METHODS[args.mode].pool(side, cfg, args.degree)
+    out = _METHODS[args.mode].pool(side, cfg, degree)
     elapsed = time.perf_counter_ns() - start
     write_tensor(out, args.out)
     print(f"output dims {out.dims}; pool time {elapsed / 1e6:.3f} ms")
@@ -208,7 +216,8 @@ def _cmd_bench(args) -> int:
     dims_sweep = _parse_ints(args.dims_sweep, "--dims-sweep")
     if args.trials < 0:
         raise UsageError(f"--trials must be >= 0, got {args.trials}")
-    records = run_sweep(args.method, sizes, dims_sweep, args.trials, args.seed, args.degree)
+    degree = _degree(args.method, args.degree)
+    records = run_sweep(args.method, sizes, dims_sweep, args.trials, args.seed, degree)
     write_csv(records, args.csv)
     print(f"wrote {len(records)} records to {args.csv}")
     return EXIT_OK
@@ -249,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pool.add_argument("--dims", required=True, help="output dims d1[,d2,d3,d4]")
     pool.add_argument("--variant", default="time", choices=("time", "freq"))
     pool.add_argument("--pad", action="store_true", help="pad inputs with ones (mcb)")
-    pool.add_argument("--degree", type=int, default=2, help="polynomial degree (poly)")
+    pool.add_argument("--degree", type=int, help="polynomial degree (poly only; default 2)")
     pool.add_argument("--seed", type=int, required=True)
     pool.add_argument("--out", required=True)
     pool.set_defaults(func=_cmd_pool)
@@ -260,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dims-sweep", required=True, help="comma list of output sizes")
     bench.add_argument("--trials", type=int, required=True)
     bench.add_argument("--seed", type=int, required=True)
-    bench.add_argument("--degree", type=int, default=2, help="polynomial degree (poly)")
+    bench.add_argument("--degree", type=int, help="polynomial degree (poly only; default 2)")
     bench.add_argument("--csv", required=True)
     bench.set_defaults(func=_cmd_bench)
 

@@ -5,16 +5,17 @@ their count-sketches; mct combines the order-3 sketch of an image tensor with
 the sketch of a text vector through their spectra. Every operator runs one
 pipeline: sketch each input, transform, multiply the spectra into a
 (count, *dims) product stack (one block for mcb, polynomial_sketch and mct,
-one per tile for local_mct), then leave through _leave. The "time" variant
-(real output) holds spectra along the last mode only: it inverts them in one
-batched row transform and checks each block's imaginary residue. Time mct
-gets there by shearing its sketch, which turns the convolution along the
-(1, 1, 1) diagonal into d*d length-d row convolutions, and unshears each
-block on the way out. The "frequency" variant keeps the complex product (for
-mct, the full 3-D spectrum) and skips the inverse. Either variant raises
-ResidueError rather than return non-finite values. mcb, mct and local_mct
-return PooledFeature(data, plans), whose domain is its data's type:
-ComplexTensor "frequency", DenseTensor "time".
+one per tile for local_mct), then leave through _leave. In the "time"
+variant (real output) every operator is a batch of length-d row
+convolutions through one kernel: _spectra transforms the rows with the text
+or other count-sketches and multiplies the spectra; _leave inverts the rows,
+checks each block's imaginary residue and returns it in its final layout.
+Time mct shears its sketch, which turns the convolution along the (1, 1, 1)
+diagonal into d*d rows, and leaves through the unshear map. The "frequency"
+variant keeps the complex product (for mct, the full 3-D spectrum) and skips
+the inverse. Either variant raises ResidueError rather than return
+non-finite values. mcb, mct and local_mct return PooledFeature(data, plans),
+whose domain is its data's type: ComplexTensor "frequency", DenseTensor "time".
 
 Plan seeds are derived deterministically from the config seed, so a single
 (config, inputs) pair reproduces the whole pipeline. Outputs are
@@ -109,41 +110,42 @@ def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
     if cfg.pad_with_ones:
         x, y = pad_with_ones(x, y.dims[0]), pad_with_ones(y, x.dims[0])
     px, py = hashplan.paired_vector_plans(x.dims[0], y.dims[0], d, cfg.seed)
-    (data,) = _leave(_spectra([(x, px), (y, py)]), cfg.variant, "mcb")
+    (data,) = _leave(_spectra(count_sketch(x, px).values[None], [(y, py)]), cfg.variant, "mcb")
     return PooledFeature(data, (px, py))
 
 
-def _spectra(pairs: Sequence[tuple[DenseTensor, hashplan.SketchPlan]]) -> np.ndarray:
-    """Product of the spectra of the count-sketches of (vector, plan) pairs, as a (1, d) stack.
+def _spectra(rows: np.ndarray, pairs: list[tuple[DenseTensor, hashplan.SketchPlan]]) -> np.ndarray:
+    """Spectra of an (R, d) stack of real rows, each times the count-sketch spectra of pairs.
 
-    The spectra come from one batched transform and are multiplied in order,
-    as np.prod(spectra, axis=0) would, at the cost of plain multiplies (the
-    reduction took about three times one multiply at d = 1024).
+    The rows and the pairs' sketches go through one batched row transform,
+    then the pairs' spectra multiply every row's in order, as np.prod would,
+    at the cost of plain multiplies (the reduction took about three times one
+    multiply at d = 1024). The (R, d) complex result is a new array.
     """
-    stack = np.stack([count_sketch(v, p).values for v, p in pairs])
+    stack = np.vstack([rows, *(count_sketch(v, p).values for v, p in pairs)])
     spectra = ndfft(DenseTensor._adopt(stack.shape, stack), batched=True).array
-    return functools.reduce(np.multiply, spectra[1:], spectra[:1])
+    return functools.reduce(np.multiply, spectra[len(rows):], spectra[:len(rows)])
 
 
-def _leave(product: np.ndarray, variant: str, where: str) -> list[DenseTensor | ComplexTensor]:
+def _leave(product: np.ndarray, variant: str, where: str,
+           layout: np.ndarray | None = None) -> list[DenseTensor | ComplexTensor]:
     """Exit of every operator: one tensor per block of a (count, *dims) spectral product.
 
-    product is complex128 and must not be shared with a caller; it is frozen
-    in place.
-    Frequency: the product itself, checked finite, each block a view of the
-    one read-only stack. Time: product holds spectra along its last mode
-    only; one batched inverse transform along that mode, then each block's
-    real part after its own residue check. Errors name ``where``.
+    product is complex128, must not be shared with a caller, and is frozen in
+    place. Frequency: the product itself, checked finite, each block a view
+    of the one read-only stack. Time: product holds spectra along its last
+    mode only; one batched inverse transform along that mode, then each
+    block's real part after its own residue check, put into its final layout
+    by the flat gather layout if one is given. Errors name ``where``.
     """
     dims = product.shape[1:]
     rows = ComplexTensor._adopt((product.size // dims[-1], dims[-1]), product)
     if variant == "frequency":
         checked_finite(product, where)
         return [ComplexTensor._adopt(dims, block) for block in product]
-    return [
-        DenseTensor._adopt(dims, checked_real(block, where))
-        for block in indfft(rows, batched=True).array.reshape(product.shape)
-    ]
+    blocks = indfft(rows, batched=True).array.reshape(product.shape)
+    reals = (checked_real(block, where) for block in blocks)
+    return [DenseTensor._adopt(dims, r if layout is None else r.ravel()[layout]) for r in reals]
 
 
 # The maps of d take 16 * d**3 bytes: within the memo's 1 MiB, d <= 32 is
@@ -192,8 +194,8 @@ def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> li
 
     All blocks share one image plan and one text plan; their sketches come
     from one batched scatter and their spectra from one transform each way
-    (over the sheared rows in the time variant). The residue check stays per
-    block (see _leave), and each time block is unsheared into its own array.
+    (in the time variant, _spectra's over the sheared rows and the text
+    sketch). _leave checks each block and unshears each time block.
     """
     if blocks.order != 4 or txt.order != 1:
         raise ValueError("mct needs an order-3 tensor and a vector")
@@ -209,18 +211,15 @@ def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> li
     p_img, p_txt = hashplan.image_text_plans(blocks.dims[1:], txt.dims[0], cfg.output_dims, cfg.seed)
     plans = (p_img, p_txt)
     sketches = md_sketch(blocks, p_img, batched=True)
-    fw = ndfft(count_sketch(txt, p_txt)).values
     if cfg.variant == "frequency":
+        fw = ndfft(count_sketch(txt, p_txt)).values
         idx = (np.arange(d1)[:, None, None] + np.arange(d2)[:, None] + np.arange(d3)) % d4
-        product = ndfft(sketches, batched=True).array * fw[idx]
-        return [PooledFeature(data, plans) for data in _leave(product, "frequency", "mct")]
-    shear, unshear = _shear_maps(d4)
-    rows = np.take(sketches.values.reshape(blocks.dims[0], -1), shear, axis=1).reshape(-1, d4)
-    product = ndfft(DenseTensor._adopt(rows.shape, rows), batched=True).array * fw
-    return [
-        PooledFeature(DenseTensor._adopt(block.dims, block.values[unshear]), plans)
-        for block in _leave(product.reshape(sketches.dims), "time", "mct")
-    ]
+        product, layout = ndfft(sketches, batched=True).array * fw[idx], None
+    else:
+        shear, layout = _shear_maps(d4)
+        rows = np.take(sketches.values.reshape(blocks.dims[0], -1), shear, axis=1).reshape(-1, d4)
+        product = _spectra(rows, [(txt, p_txt)]).reshape(sketches.dims)
+    return [PooledFeature(data, plans) for data in _leave(product, cfg.variant, "mct", layout)]
 
 
 def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTensor:
@@ -237,7 +236,8 @@ def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTe
     if _integer(d, "output size") < 1:
         raise ValueError(f"output size must be >= 1, got {d}")
     plans = hashplan.repeated_vector_plans(x.dims[0], d, degree, seed)
-    (sketch,) = _leave(_spectra([(x, p) for p in plans]), "time", "polynomial_sketch")
+    head = count_sketch(x, plans[0]).values[None]
+    (sketch,) = _leave(_spectra(head, [(x, p) for p in plans[1:]]), "time", "polynomial_sketch")
     return sketch
 
 

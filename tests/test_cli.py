@@ -170,7 +170,12 @@ def test_pool_pad_only_for_mcb(tmp_path):
     (["--mode", "poly", "--a", "{vec}", "--dims", "8,8"], "one output dim"),
     (["--mode", "poly", "--a", "{vec}", "--degree", "0", "--dims", "8"], "degree must be >= 1"),
     (["--mode", "mcb", "--a", "{cplx}", "--b", "{vec}", "--dims", "8"], "holds complex values"),
-], ids=["poly-b", "poly-freq", "poly-two-dims", "poly-degree-0", "complex-input"])
+    (["--mode", "mcb", "--a", "{vec}", "--b", "{vec}", "--degree", "-3", "--dims", "8"],
+     "--degree applies to poly only"),
+    (["--mode", "mct", "--a", "{vec}", "--b", "{vec}", "--degree", "2", "--dims", "2,2,2,2"],
+     "--degree applies to poly only"),
+], ids=["poly-b", "poly-freq", "poly-two-dims", "poly-degree-0", "complex-input", "mcb-degree",
+        "mct-degree"])
 def test_pool_refuses_bad_flags_and_inputs(tmp_path, capsys, flags, message):
     files = {"vec": tmp_path / "v.tsk", "cplx": tmp_path / "c.tsk"}
     write_tensor(DenseTensor.vector([1.0, 2.0]), files["vec"])
@@ -216,13 +221,23 @@ def test_bench_zero_trials_header_only(tmp_path):
     assert len(path.read_text().splitlines()) == 1
 
 
-def test_bench_rejects_bad_flags(tmp_path):
+def test_bench_rejects_bad_flags(tmp_path, capsys):
     rc = main(["bench", "--method", "mcb", "--sizes", "4x4", "--dims-sweep", "4",
                "--trials", "1", "--seed", "1", "--csv", str(tmp_path / "x.csv")])
     assert rc == 2
     rc = main(["bench", "--method", "mct", "--sizes", "8", "--dims-sweep", "4",
                "--trials", "1", "--seed", "1", "--csv", str(tmp_path / "x.csv")])
     assert rc == 2
+    rc = main(["bench", "--method", "mcb", "--sizes", "8", "--dims-sweep", "4",
+               "--trials", "-1", "--seed", "1", "--csv", str(tmp_path / "x.csv")])
+    assert rc == 2
+    for method, size in [("mcb", "8"), ("mct", "2x2x2x2")]:
+        rc = main(["bench", "--method", method, "--sizes", size, "--dims-sweep", "4",
+                   "--trials", "1", "--seed", "1", "--degree", "0", "--csv", str(tmp_path / "x.csv")])
+        assert rc == 2 and "--degree applies to poly only" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    with pytest.raises(cli.UsageError, match="unknown method 'nope'"):
+        run_sweep("nope", [(8,)], [4], 1, 0)
 
 
 def test_bench_mct_and_poly_smoke(tmp_path):
@@ -382,6 +397,11 @@ def test_selfcheck_output_is_deterministic(capsys):
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: compactpool" in capsys.readouterr().out
 
 
 def test_consecutive_calls_share_no_state(tmp_path, capsys):

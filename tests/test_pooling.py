@@ -116,16 +116,16 @@ def test_mcb_matches_oracle():
 
 
 def test_mcb_equals_sketch_of_outer_product():
-    # the time variant is the count-sketch of the flattened outer product
+    # the time variant is the count-sketch of the flattened (padded) outer product
     rng = np.random.default_rng(14)
     for n1, n2, d in [(4, 4, 8), (8, 16, 32), (16, 3, 8)]:
         x = DenseTensor.vector(rng.standard_normal(n1))
         y = DenseTensor.vector(rng.standard_normal(n2))
         seed = int(rng.integers(0, 2**32))
-        cfg = PoolingConfig((d,), "time", False, seed)
-        fast = mcb(x, y, cfg).data
-        slow = mcb_oracle(x, y, d, seed)
-        assert np.max(np.abs(fast.values - slow.values)) <= 1e-9
+        for pad in (False, True):
+            fast = mcb(x, y, PoolingConfig((d,), "time", pad, seed)).data
+            slow = mcb_oracle(x, y, d, seed, pad=pad)
+            assert np.max(np.abs(fast.values - slow.values)) <= 1e-9
 
 
 def test_mcb_frequency_matches_fft_of_time():
@@ -748,3 +748,32 @@ def test_only_leave_calls_the_inverse_transform_and_the_exit_checks():
 
     visit(tree, "<module>")
     assert callers == {("_leave", name) for name in _EXIT_CHECKS}
+
+
+_TRANSFORM_CALLS = {
+    # Every time path is one batched row transform each way; frequency mct
+    # transforms the image and the text sketches and inverts nothing.
+    "mcb-time": (lambda im, x: mcb(x, x, PoolingConfig((8,))), 1, 1),
+    "poly-3": (lambda im, x: polynomial_sketch(x, 3, 8, 1), 1, 1),
+    "mct-time": (lambda im, x: mct(im, x, PoolingConfig((4, 4, 4, 4))), 1, 1),
+    "local-mct-time": (lambda im, x: local_mct(im, x, (2, 2, 2), PoolingConfig((4, 4, 4, 4))), 1, 1),
+    "mct-frequency": (lambda im, x: mct(im, x, PoolingConfig((2, 3, 4, 5), "frequency")), 2, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_TRANSFORM_CALLS))
+def test_each_time_path_is_one_row_transform_each_way(monkeypatch, case):
+    call, forward, inverse = _TRANSFORM_CALLS[case]
+    counts = {"ndfft": 0, "indfft": 0}
+
+    def counted(name, transform):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pooling, "ndfft", counted("ndfft", pooling.ndfft))
+    monkeypatch.setattr(pooling, "indfft", counted("indfft", pooling.indfft))
+    rng = np.random.default_rng(150)
+    call(DenseTensor.from_array(rng.standard_normal((4, 4, 2))), _gauss_vec(5, 151))
+    assert counts == {"ndfft": forward, "indfft": inverse}

@@ -14,13 +14,16 @@ from compactpool.fileio import TensorFileError, TruncatedPayloadError, read_tens
 from compactpool.hashplan import (
     ModeHash,
     PlanFormatError,
+    SketchPlan,
     build_plan,
+    compose_sum,
     image_text_plans,
     load_plan,
     repeated_vector_plans,
     save_plan,
 )
 from compactpool.pooling import PoolingConfig, PoolingContractError, mcb, mct, polynomial_sketch
+from compactpool.reference import mcb_oracle, mct_oracle
 from compactpool.sketch import count_sketch
 from compactpool.spectral import naive_ndft, ndfft
 from compactpool.tensor import ComplexTensor, DenseTensor, pad_with_ones, stack_blocks
@@ -53,6 +56,10 @@ REFUSALS = {
     "load-plan-array": (lambda tmp: load_plan("[1, 2]"), PlanFormatError, "must be an object"),
     "load-plan-missing-field": (lambda tmp: _plan_without("sign_table"), PlanFormatError,
                                 "missing field 'sign_table'"),
+    "sketch-plan-no-modes": (lambda tmp: SketchPlan((), 0), ValueError, "at least one mode"),
+    "compose-sum-order-2": (lambda tmp: compose_sum(build_plan([2, 2], [4, 4], 0),
+                                                    build_plan([2], [4], 0)),
+                            ValueError, "two order-1 plans"),
     "image-text-plans-3-dims": (lambda tmp: image_text_plans((2, 2, 2), 3, (4, 4, 4), 0),
                                 ValueError, "four output dims"),
     "repeated-plans-count-0": (lambda tmp: repeated_vector_plans(3, 4, 0, 0), ValueError,
@@ -66,6 +73,8 @@ REFUSALS = {
                                     ValueError, "order-1 tensor"),
     "count-sketch-order-2-plan": (lambda tmp: count_sketch(_VEC, build_plan([2, 2], [4, 4], 0)),
                                   ValueError, "order-1 plan"),
+    "mcb-oracle-order-2": (lambda tmp: mcb_oracle(_MAT, _VEC, 4, 0), ValueError, "two order-1"),
+    "mct-oracle-order-2": (lambda tmp: mct_oracle(_MAT, _VEC, 4, 0), ValueError, "order-3 tensor"),
     "pad-negative": (lambda tmp: pad_with_ones(_VEC, -1), ValueError, "nonnegative"),
     "stack-blocks-2-dims": (lambda tmp: stack_blocks(_IMG, (2, 2)), ValueError,
                             "three positive integers"),
