@@ -82,7 +82,6 @@ def _degree(method: str, degree: Optional[int]) -> int:
 
 
 def _cmd_pool(args) -> int:
-    side = [_read_input(args.a)]
     dims = _parse_ints(args.dims, "--dims")
     if args.pad and args.mode != "mcb":
         raise UsageError("--pad applies to mcb only")
@@ -96,9 +95,9 @@ def _cmd_pool(args) -> int:
             raise UsageError(f"poly needs one output dim, got {dims}")
     elif args.b is None:
         raise UsageError(f"{args.mode} needs --b")
-    else:
-        side.append(_read_input(args.b))
     cfg = pooling.PoolingConfig(dims, _variant(args.variant), args.pad, args.seed)
+    # Every option is checked above, before any input is read.
+    side = [_read_input(path) for path in (args.a, args.b) if path is not None]
     start = time.perf_counter_ns()
     out = _METHODS[args.mode].pool(side, cfg, degree)
     elapsed = time.perf_counter_ns() - start

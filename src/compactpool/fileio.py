@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .tensor import ComplexTensor, DenseTensor, _checked_dims
+from .tensor import CapacityError, ComplexTensor, DenseTensor, _checked_dims
 
 __all__ = [
     "BadMagicError",
@@ -49,8 +49,6 @@ DTYPE_REAL = 0
 DTYPE_COMPLEX = 1
 _HEADER = struct.Struct("<4sBBBB")
 _DIM = struct.Struct("<Q")
-# Cells bound rejects absurd headers before any allocation is attempted.
-_MAX_FILE_CELLS = 2**48
 
 
 class TensorFileError(ValueError):
@@ -124,13 +122,13 @@ def read_tensor(path) -> Union[DenseTensor, ComplexTensor]:
             size = _HEADER.size + len(raw_dims)
             raise TruncatedPayloadError(f"file ends inside the dims block ({size} bytes)")
         dims = struct.unpack(f"<{order}Q", raw_dims)
-        cells = math.prod(dims)
-        if cells > _MAX_FILE_CELLS:
-            raise DimsOverflowError(f"dims {dims} declare {cells} cells, over {_MAX_FILE_CELLS}")
-        try:
+        try:  # refuses a header over the tensor cell cap before any allocation
             _checked_dims(dims)
+        except CapacityError as e:
+            raise DimsOverflowError(str(e)) from None
         except ValueError as e:  # more modes than a NumPy array can hold
             raise TensorFileError(f"order {order} header: {e}") from None
+        cells = math.prod(dims)
         itemsize = 16 if dtype == DTYPE_COMPLEX else 8
         expected = _HEADER.size + len(raw_dims) + cells * itemsize
         regular = stat.S_ISREG(st.st_mode)

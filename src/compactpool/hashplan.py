@@ -147,6 +147,9 @@ class SketchPlan:
         modes = tuple(self.modes)
         if not modes:
             raise ValueError("a plan needs at least one mode")
+        if not all(isinstance(m, ModeHash) for m in modes):
+            raise ValueError(f"SketchPlan modes must be ModeHash objects, got "
+                             f"{[type(m).__name__ for m in modes]}")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 

@@ -210,7 +210,7 @@ def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> li
         )
     p_img, p_txt = hashplan.image_text_plans(blocks.dims[1:], txt.dims[0], cfg.output_dims, cfg.seed)
     plans = (p_img, p_txt)
-    sketches = md_sketch(blocks, p_img, batched=True)
+    sketches = md_sketch(blocks, p_img)
     if cfg.variant == "frequency":
         fw = ndfft(count_sketch(txt, p_txt)).values
         idx = (np.arange(d1)[:, None, None] + np.arange(d2)[:, None] + np.arange(d3)) % d4

@@ -11,7 +11,7 @@ import numpy as np
 
 from .hashplan import SketchPlan, compose_sum, image_text_plans, paired_vector_plans
 from .spectral import ORACLE_CAP, OracleCapExceeded
-from .tensor import DenseTensor, outer_product, pad_with_ones
+from .tensor import DenseTensor, _integer, outer_product, pad_with_ones
 
 __all__ = ["kernel_oracle", "mcb_oracle", "mct_oracle"]
 
@@ -39,6 +39,8 @@ def mcb_oracle(
         raise OracleCapExceeded(f"{x.size} * {y.size} cells exceeds the oracle cap of {ORACLE_CAP}")
     if plans is None:
         plans = paired_vector_plans(x.dims[0], y.dims[0], d, seed)
+    if [(p.input_dims, p.output_dims) for p in plans] != [(x.dims, (d,)), (y.dims, (d,))]:
+        raise ValueError(f"mcb_oracle: plans do not map sizes {x.dims[0]} and {y.dims[0]} to d={d}")
     composed = compose_sum(*plans)
     mode = composed.modes[0]
     u = outer_product(x, y).values
@@ -69,6 +71,9 @@ def mct_oracle(
     if plans is None:
         plans = image_text_plans(img.dims, txt.dims[0], (d, d, d, d), seed)
     p_img, p_txt = plans
+    if (p_img.input_dims, p_img.output_dims, p_txt.input_dims, p_txt.output_dims) != (
+            img.dims, (d, d, d), txt.dims, (d,)):
+        raise ValueError(f"mct_oracle: plans do not map {img.dims} and {txt.dims} to d={d}")
     (m1, m2, m3), m4 = p_img.modes, p_txt.modes[0]
     arr = img.array
     vec = txt.values
@@ -86,7 +91,7 @@ def kernel_oracle(x: DenseTensor, y: DenseTensor, p: int) -> float:
     """Exact polynomial kernel value: inner_product(x, y) ** p."""
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    if p < 0:
+    if _integer(p, "power") < 0:
         raise ValueError(f"power must be >= 0, got {p}")
     total = 0.0
     for a, b in zip(x.values, y.values):

@@ -32,7 +32,9 @@ _GEMM_MAX_OUTPUT = 64
 
 
 def count_sketch(v: DenseTensor, p: SketchPlan) -> DenseTensor:
-    """Scatter a vector into signed buckets: w(t) = sum over h(i)=t of s(i) v(i)."""
+    """Scatter a real vector into signed buckets: w(t) = sum over h(i)=t of s(i) v(i)."""
+    if not isinstance(v, DenseTensor):
+        raise ValueError(f"count_sketch needs a DenseTensor, got {type(v).__name__}")
     if v.order != 1:
         raise ValueError(f"count_sketch needs an order-1 tensor, got order {v.order}")
     if p.order != 1:
@@ -43,14 +45,14 @@ def count_sketch(v: DenseTensor, p: SketchPlan) -> DenseTensor:
     return DenseTensor._adopt((mode.output_size,), _scatter(v.values, [mode], 1, 1))
 
 
-def md_sketch(t: DenseTensor, p: SketchPlan, batched: bool = False) -> DenseTensor:
+def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:
     """Per-mode signed scatter of an order-N tensor.
 
     X(t1..tN) = sum over all input cells whose per-mode hashes hit (t1..tN) of
     (product of mode signs) times the cell value. Reduces to count_sketch for
-    N = 1. With batched, mode 0 indexes independent blocks: each block comes
-    out as md_sketch of that block alone, bit for bit; a stack of zero blocks
-    gives an empty sketch.
+    N = 1. A tensor with one more mode than p is a stack: mode 0 indexes
+    blocks, each sketched bit for bit as md_sketch of that block alone; a
+    stack of zero blocks gives an empty sketch.
 
     Computed as mode products X x1 S1 x2 S2 ... xN SN, one mode at a time.
     A mode of input size n and output size d costs either
@@ -69,12 +71,14 @@ def md_sketch(t: DenseTensor, p: SketchPlan, batched: bool = False) -> DenseTens
     into one bucket of that cell's mode, the GEMM also adds 0 * inf = NaN
     into every other one (numpy reports it as a RuntimeWarning).
     """
-    if t.order - batched != p.order:
-        raise ValueError(f"order mismatch: tensor {t.order}, plan {p.order}, batched={batched}")
-    if t.dims[batched:] != p.input_dims:
-        raise ValueError(f"size mismatch: tensor {t.dims}, plan {p.input_dims}, batched={batched}")
-    dims = t.dims[:batched] + p.output_dims
-    count = t.dims[0] if batched else 1
+    if not isinstance(t, DenseTensor):
+        raise ValueError(f"md_sketch needs a DenseTensor, got {type(t).__name__}")
+    stacked = t.order - p.order  # 1 when mode 0 indexes blocks
+    if stacked not in (0, 1):
+        raise ValueError(f"order mismatch: tensor {t.order}, plan {p.order} (a stack has one more)")
+    if t.dims[stacked:] != p.input_dims:
+        raise ValueError(f"size mismatch: tensor {t.dims}, plan {p.input_dims}")
+    dims, count = t.dims[:stacked] + p.output_dims, math.prod(t.dims[:stacked])
     if count == 0:
         return DenseTensor._adopt(dims, np.zeros(dims))
     x = t.values

@@ -68,6 +68,8 @@ def checked_real(values: np.ndarray, where: str) -> np.ndarray:
 
 
 def _transform(t: DenseTensor | ComplexTensor, batched: bool, fft, fftn) -> ComplexTensor:
+    if not isinstance(batched, (bool, np.bool_)):
+        raise ValueError(f"batched must be a bool, got {batched!r}")
     if batched and t.order < 2:
         raise ValueError(f"a batched transform needs order >= 2, got order {t.order}")
     if t.order == 0:
@@ -82,8 +84,8 @@ def _transform(t: DenseTensor | ComplexTensor, batched: bool, fft, fftn) -> Comp
 def ndfft(t: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTensor:
     """Unnormalized forward DFT over every mode.
 
-    With batched, mode 0 indexes independent blocks and is not transformed:
-    each block comes out as ndfft of that block alone.
+    With batched (a bool), mode 0 indexes independent blocks and is not
+    transformed: each block comes out as ndfft of that block alone.
     """
     return _transform(t, batched, np.fft.fft, np.fft.fftn)
 
@@ -91,7 +93,7 @@ def ndfft(t: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTenso
 def indfft(f: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTensor:
     """Inverse DFT with the 1/prod(dims) normalization; inverts ndfft.
 
-    batched leaves mode 0 untransformed, as in ndfft.
+    batched (a bool) leaves mode 0 untransformed, as in ndfft.
     """
     return _transform(f, batched, np.fft.ifft, np.fft.ifftn)
 

@@ -26,8 +26,8 @@ __all__ = [
     "stack_blocks",
 ]
 
-# Cell budget keeps flat indices comfortably inside int64 (with byte offsets).
-_MAX_CELLS = 2**56
+# The one cell cap, for tensors and TSK1 headers alike (2**48 float64 cells are 2 PiB).
+_MAX_CELLS = 2**48
 
 
 class CapacityError(ValueError):
@@ -162,7 +162,10 @@ def outer_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
 
 
 def inner_product(a: DenseTensor, b: DenseTensor) -> float:
-    """Sum of elementwise products; both tensors must share dims exactly."""
+    """Sum of elementwise products; both tensors must be real and share dims exactly."""
+    if not (isinstance(a, DenseTensor) and isinstance(b, DenseTensor)):
+        raise ValueError(f"inner_product needs two DenseTensors, got {type(a).__name__}"
+                         f" and {type(b).__name__}")
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
     return float(np.dot(a.values, b.values))

@@ -174,10 +174,16 @@ def test_pool_pad_only_for_mcb(tmp_path):
      "--degree applies to poly only"),
     (["--mode", "mct", "--a", "{vec}", "--b", "{vec}", "--degree", "2", "--dims", "2,2,2,2"],
      "--degree applies to poly only"),
+    # Options are checked before any input is read, so a bad input cannot mask them.
+    (["--mode", "mct", "--pad", "--a", "{missing}", "--b", "{vec}", "--dims", "2,2,2,2"],
+     "--pad applies to mcb only"),
+    (["--mode", "mcb", "--degree", "3", "--a", "{dir}", "--b", "{vec}", "--dims", "8"],
+     "--degree applies to poly only"),
 ], ids=["poly-b", "poly-freq", "poly-two-dims", "poly-degree-0", "complex-input", "mcb-degree",
-        "mct-degree"])
+        "mct-degree", "pad-before-missing-input", "degree-before-directory-input"])
 def test_pool_refuses_bad_flags_and_inputs(tmp_path, capsys, flags, message):
-    files = {"vec": tmp_path / "v.tsk", "cplx": tmp_path / "c.tsk"}
+    files = {"vec": tmp_path / "v.tsk", "cplx": tmp_path / "c.tsk",
+             "missing": tmp_path / "missing.tsk", "dir": tmp_path}
     write_tensor(DenseTensor.vector([1.0, 2.0]), files["vec"])
     write_tensor(ComplexTensor.from_array(np.array([1 + 2j, 3.0])), files["cplx"])
     out = tmp_path / "o.tsk"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compactpool import fileio
+from compactpool import fileio, tensor
 from compactpool.fileio import (
     BadMagicError,
     BenchRecord,
@@ -27,7 +27,7 @@ from compactpool.fileio import (
     write_csv,
     write_tensor,
 )
-from compactpool.tensor import ComplexTensor, DenseTensor
+from compactpool.tensor import CapacityError, ComplexTensor, DenseTensor
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -161,6 +161,20 @@ def test_dims_overflow(tmp_path):
     dims = struct.pack("<QQ", 2**40, 2**40)
     path.write_bytes(header + dims)
     with pytest.raises(DimsOverflowError):
+        read_tensor(path)
+
+
+def test_one_cell_cap_serves_tensors_and_file_headers(tmp_path):
+    assert tensor._MAX_CELLS == 2**48 and not hasattr(fileio, "_MAX_FILE_CELLS")
+    with pytest.raises(CapacityError):
+        DenseTensor((2**49,), [])
+    path = tmp_path / "huge.tsk"
+    header = struct.pack("<4sBBBB", b"TSK1", 1, 2, 0, 0)
+    path.write_bytes(header + struct.pack("<QQ", 2**24, 2**24 + 1))
+    with pytest.raises(DimsOverflowError, match="cap"):
+        read_tensor(path)
+    path.write_bytes(header + struct.pack("<QQ", 2**24, 2**24))  # at the cap: only the size is wrong
+    with pytest.raises(TruncatedPayloadError):
         read_tensor(path)
 
 

@@ -471,7 +471,7 @@ _STAGES = {
     "count_sketch": lambda x, y, im: [count_sketch(x, build_plan([6], [4], 1))],
     "md_sketch": lambda x, y, im: [
         md_sketch(im, build_plan([4, 4, 2], [3, 2, 2], 1)),
-        md_sketch(stack_blocks(im, (2, 2, 1)), build_plan([2, 2, 1], [3, 2, 2], 1), batched=True),
+        md_sketch(stack_blocks(im, (2, 2, 1)), build_plan([2, 2, 1], [3, 2, 2], 1)),
     ],
     "ndfft": lambda x, y, im: [ndfft(im), ndfft(x)],
     "indfft": lambda x, y, im: [indfft(im, batched=True), indfft(x)],

@@ -19,18 +19,26 @@ from compactpool.hashplan import (
     compose_sum,
     image_text_plans,
     load_plan,
+    paired_vector_plans,
     repeated_vector_plans,
     save_plan,
 )
 from compactpool.pooling import PoolingConfig, PoolingContractError, mcb, mct, polynomial_sketch
-from compactpool.reference import mcb_oracle, mct_oracle
-from compactpool.sketch import count_sketch
+from compactpool.reference import kernel_oracle, mcb_oracle, mct_oracle
+from compactpool.sketch import count_sketch, md_sketch
 from compactpool.spectral import naive_ndft, ndfft
-from compactpool.tensor import ComplexTensor, DenseTensor, pad_with_ones, stack_blocks
+from compactpool.tensor import (
+    ComplexTensor,
+    DenseTensor,
+    inner_product,
+    pad_with_ones,
+    stack_blocks,
+)
 
 _VEC = DenseTensor.vector([1.0, 2.0])
 _MAT = DenseTensor.from_array(np.ones((2, 2)))
 _IMG = DenseTensor.from_array(np.ones((2, 2, 2)))
+_CVEC = ComplexTensor((2,), [1j, 1.0])
 
 
 def _tsk1(tmp_path, order, reserved, dims):
@@ -78,6 +86,33 @@ REFUSALS = {
     "pad-negative": (lambda tmp: pad_with_ones(_VEC, -1), ValueError, "nonnegative"),
     "stack-blocks-2-dims": (lambda tmp: stack_blocks(_IMG, (2, 2)), ValueError,
                             "three positive integers"),
+    # An oracle given plans checks them against its own sizes and d.
+    "mct-oracle-plans-of-other-d": (lambda tmp: mct_oracle(
+        _IMG, _VEC, 3, 0, plans=image_text_plans((2, 2, 2), 2, (2,) * 4, 0)),
+        ValueError, "mct_oracle: plans"),
+    "mcb-oracle-plans-of-smaller-d": (lambda tmp: mcb_oracle(
+        _VEC, _VEC, 8, 0, plans=paired_vector_plans(2, 2, 4, 0)), ValueError, "mcb_oracle: plans"),
+    "mcb-oracle-plans-of-larger-d": (lambda tmp: mcb_oracle(
+        _VEC, _VEC, 2, 0, plans=paired_vector_plans(2, 2, 4, 0)), ValueError, "mcb_oracle: plans"),
+    "mcb-oracle-plans-of-other-size": (lambda tmp: mcb_oracle(
+        _VEC, _VEC, 4, 0, plans=paired_vector_plans(3, 2, 4, 0)), ValueError, "mcb_oracle: plans"),
+    "kernel-oracle-power-2.5": (lambda tmp: kernel_oracle(_VEC, _VEC, 2.5), ValueError,
+                                "power must be an integer"),
+    "kernel-oracle-power-true": (lambda tmp: kernel_oracle(_VEC, _VEC, True), ValueError,
+                                 "power must be an integer"),
+    "sketch-plan-int-modes": (lambda tmp: SketchPlan((1, 2), 0), ValueError, "SketchPlan modes"),
+    "inner-product-complex": (lambda tmp: inner_product(_VEC, _CVEC), ValueError,
+                              "inner_product needs two DenseTensors"),
+    "count-sketch-complex": (lambda tmp: count_sketch(_CVEC, build_plan([2], [4], 0)), ValueError,
+                             "count_sketch needs a DenseTensor"),
+    "mcb-complex": (lambda tmp: mcb(_CVEC, _VEC, PoolingConfig((4,))), ValueError,
+                    "count_sketch needs a DenseTensor"),
+    "poly-complex": (lambda tmp: polynomial_sketch(_CVEC, 2, 4, 0), ValueError,
+                     "count_sketch needs a DenseTensor"),
+    "md-sketch-complex": (lambda tmp: md_sketch(ComplexTensor((2, 2), [1j, 1, 1, 1]),
+                                                build_plan([2, 2], [200, 2], 0)),
+                          ValueError, "md_sketch needs a DenseTensor"),
+    "ndfft-batched-2": (lambda tmp: ndfft(_IMG, batched=2), ValueError, "batched must be a bool"),
 }
 
 

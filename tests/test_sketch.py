@@ -1,4 +1,6 @@
 import contextlib
+import inspect
+import itertools
 import math
 
 import numpy as np
@@ -288,7 +290,7 @@ def test_md_sketch_kernels_match_the_literal_scatter(in_dims, out_dims, kernels)
         # Scatter modes share one bincount, which adds cells in row-major order as the loop does.
         assert np.array_equal(got, _literal_scatter(u, plan))
     blocks = np.random.default_rng(6).standard_normal((3, *in_dims))
-    stack = md_sketch(DenseTensor.from_array(blocks), plan, batched=True).array
+    stack = md_sketch(DenseTensor.from_array(blocks), plan).array
     for block, sketch in zip(blocks, stack):
         assert np.array_equal(sketch, md_sketch(DenseTensor.from_array(block), plan).array)
     # A non-finite cell gives a non-finite sketch. A scatter adds it into one bucket of
@@ -303,8 +305,51 @@ def test_md_sketch_kernels_match_the_literal_scatter(in_dims, out_dims, kernels)
 def test_md_sketch_of_zero_blocks_is_empty():
     for in_dims, out_dims in [([2, 2, 2], [3, 2, 2]), ([4], [8])]:  # GEMM and scatter kernels
         plan = build_plan(in_dims, out_dims, 0)
-        out = md_sketch(DenseTensor.from_array(np.zeros((0, *in_dims))), plan, batched=True)
+        out = md_sketch(DenseTensor.from_array(np.zeros((0, *in_dims))), plan)
         assert type(out) is DenseTensor and out.dims == (0, *out_dims) and out.values.size == 0
+
+
+def test_md_sketch_signature_reads_the_block_axis_from_the_orders():
+    assert list(inspect.signature(md_sketch).parameters) == ["t", "p"]
+
+
+def _every_mode(n, d):
+    """Every ModeHash from n to d: d**n hash tables times 2**n sign tables, each once."""
+    return [ModeHash(n, d, h, s) for h in itertools.product(range(d), repeat=n)
+            for s in itertools.product((1, -1), repeat=n)]
+
+
+def _pair_moment(n, d):
+    """E[K(i, j) K(k, l)] over every mode from n to d, where K(i, j) = s(i) s(j) [h(i) = h(j)].
+
+    Signs cancel unless the indices pair up: 1 when i = j and k = l, and the
+    collision chance 1/d when i != j and {k, l} = {i, j}.
+    """
+    eye = np.eye(n)
+    crossed = np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye)
+    return np.einsum("ij,kl->ijkl", eye, eye) + (1 - eye)[:, :, None, None] * crossed / d
+
+
+def test_md_sketch_inner_product_has_the_exact_mean_and_variance():
+    # All 16,384 plans of a (2, 3, 2) -> (2, 2, 2) MD sketch, through the public md_sketch:
+    # the moments of <X(A), X(B)> over them are exact, so no tolerance covers sampling.
+    in_dims, d = (2, 3, 2), 2
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(in_dims)
+    b = a + 0.5 * rng.standard_normal(in_dims)
+    pair = DenseTensor.from_array(np.stack([a, b]))  # a stack: one call sketches both
+    estimates = []
+    for modes in itertools.product(*(_every_mode(n, d) for n in in_dims)):
+        x, y = md_sketch(pair, SketchPlan(modes, 0)).values.reshape(2, -1)
+        estimates.append(x @ y)
+    estimates = np.array(estimates)
+    assert estimates.size == 16384
+    exact = float(np.sum(a * b))
+    assert abs(estimates.mean() - exact) <= 1e-12 * abs(exact)
+    # Modes hash independently, so the second moment factors over them.
+    second = np.einsum("abc,def,ghi,jkl,adgj,behk,cfil->", a, b, a, b,
+                       *(_pair_moment(n, d) for n in in_dims))
+    assert abs(estimates.var() - (second - exact**2)) <= 1e-12 * estimates.var()
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,14 +377,15 @@ def _block_stacks(draw):
 @given(_block_stacks())
 def test_batched_md_sketch_equals_one_call_per_block(case):
     plan, stack = case
-    got = md_sketch(DenseTensor.from_array(stack), plan, batched=True)
+    got = md_sketch(DenseTensor.from_array(stack), plan)
     want = np.stack([md_sketch(DenseTensor.from_array(block), plan).array for block in stack])
     assert got.dims == want.shape
     assert np.array_equal(got.array, want)
+    # The orders alone say what a tensor is: one mode more than the plan is a stack.
     with pytest.raises(ValueError, match="order mismatch"):
-        md_sketch(DenseTensor.from_array(stack), plan)
+        md_sketch(DenseTensor.from_array(stack[None]), plan)
     with pytest.raises(ValueError, match="order mismatch"):
-        md_sketch(DenseTensor.from_array(stack[0]), plan, batched=True)
+        md_sketch(DenseTensor.from_array(stack[0, 0]), plan)
     wider = np.zeros((*stack.shape[:-1], stack.shape[-1] + 1))
     with pytest.raises(ValueError, match="size mismatch"):
-        md_sketch(DenseTensor.from_array(wider), plan, batched=True)
+        md_sketch(DenseTensor.from_array(wider), plan)
