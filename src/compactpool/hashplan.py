@@ -11,6 +11,7 @@ load_plan(), not PRNG equality.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import threading
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import _integer, _is_integer
+from .tensor import _INT, _integer, _is_integer
 
 __all__ = [
     "ModeHash",
@@ -37,9 +38,10 @@ __all__ = [
 ]
 
 PLAN_FORMAT_VERSION = 1
-# Bytes each memo may hold (see _Memo): a build_plan plan counts its
-# hash/sign tables at 16 bytes per entry plus _MODE_OVERHEAD per mode for the
-# Python objects around them, which dominate for small plans.
+# Bytes each memo may hold (see _Memo): a build_plan plan counts its hash
+# and sign tables and its float signs at 24 bytes per entry plus
+# _MODE_OVERHEAD per mode for the Python objects around them, which dominate
+# for small plans.
 _MEMO_BYTES = 2**20
 _MODE_OVERHEAD = 1024
 
@@ -82,7 +84,12 @@ def _int_table(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModeHash:
-    """Hash and sign tables for one tensor mode: [input_size] -> [output_size]."""
+    """Hash and sign tables for one tensor mode: [input_size] -> [output_size].
+
+    It also keeps the signs as a read-only float64 table, ``_signs``, so a
+    sketch multiplies its input by them without converting the int64 table
+    on every call.
+    """
 
     input_size: int
     output_size: int
@@ -102,12 +109,7 @@ class ModeHash:
             raise ValueError(f"hash entries must lie in [0, {d})")
         if not np.all(np.abs(s) == 1):
             raise ValueError("sign entries must be +1 or -1")
-        h.flags.writeable = False
-        s.flags.writeable = False
-        object.__setattr__(self, "input_size", n)
-        object.__setattr__(self, "output_size", d)
-        object.__setattr__(self, "hash_table", h)
-        object.__setattr__(self, "sign_table", s)
+        self._store(n, d, h, s)
 
     @classmethod
     def _adopt(cls, n: int, d: int, hash_table: np.ndarray, sign_table: np.ndarray) -> "ModeHash":
@@ -116,14 +118,17 @@ class ModeHash:
         They are flat int64 of length n, hashes in [0, d) and signs +-1 by
         construction; they are frozen in place, so they must not be shared.
         """
-        hash_table.flags.writeable = False
-        sign_table.flags.writeable = False
         m = object.__new__(cls)
-        object.__setattr__(m, "input_size", n)
-        object.__setattr__(m, "output_size", d)
-        object.__setattr__(m, "hash_table", hash_table)
-        object.__setattr__(m, "sign_table", sign_table)
+        m._store(n, d, hash_table, sign_table)
         return m
+
+    def _store(self, n: int, d: int, hash_table: np.ndarray, sign_table: np.ndarray) -> None:
+        """Freeze the checked tables and set every field, the float signs too, in one step."""
+        signs = sign_table.astype(np.float64)
+        for table in (hash_table, sign_table, signs):
+            table.setflags(write=False)
+        object.__setattr__(self, "__dict__", {"input_size": n, "output_size": d, "_signs": signs,
+                                              "hash_table": hash_table, "sign_table": sign_table})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeHash):
@@ -176,7 +181,8 @@ def _mode_rng(seed: int, mode: int) -> np.random.Generator:
 
 
 def _plan_bytes(plan: SketchPlan) -> int:
-    return sum(m.hash_table.nbytes + m.sign_table.nbytes + _MODE_OVERHEAD for m in plan.modes)
+    return sum(m.hash_table.nbytes + m.sign_table.nbytes + m._signs.nbytes + _MODE_OVERHEAD
+               for m in plan.modes)
 
 
 class _Memo:
@@ -230,10 +236,17 @@ def build_plan(input_dims: Sequence[int], output_dims: Sequence[int], seed: int)
 
     Entirely determined by (seed, input_dims, output_dims); distinct modes use
     independent streams. Repeated calls with the same key return the same
-    (immutable) plan object from a bounded memo instead of redrawing it.
+    (immutable) plan object from a bounded memo instead of redrawing it. The
+    memo keeps only keys that passed every check below, so a key of plain
+    ints is looked up first, and only a miss runs the checks.
     """
-    ins = [_integer(n, "input dim") for n in input_dims]
-    outs = [_integer(d, "output dim") for d in output_dims]
+    ins, outs = tuple(input_dims), tuple(output_dims)
+    if {type(seed), *map(type, ins), *map(type, outs)} <= _INT:
+        plan = _memo.get((ins, outs, seed))
+        if plan is not None:
+            return plan
+    ins = tuple(_integer(n, "input dim") for n in ins)
+    outs = tuple(_integer(d, "output dim") for d in outs)
     if len(ins) != len(outs):
         raise ValueError(f"input/output dim count mismatch: {len(ins)} vs {len(outs)}")
     if not ins:
@@ -241,7 +254,7 @@ def build_plan(input_dims: Sequence[int], output_dims: Sequence[int], seed: int)
     if any(n < 1 for n in ins) or any(d < 1 for d in outs):
         raise ValueError(f"all sizes must be >= 1, got {ins} -> {outs}")
     seed = _norm_seed(seed)
-    key = (tuple(ins), tuple(outs), seed)
+    key = (ins, outs, seed)
     plan = _memo.get(key)
     if plan is None:
         modes = []
@@ -334,11 +347,19 @@ def load_plan(text: str) -> SketchPlan:
 # Deriving plans here (and only here) keeps fast paths and oracles on
 # identical tables without sharing any computation.
 
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _child_seed(seed: int, *tokens) -> int:
+    """derive_seed of an int seed, memoised: a held config derives each child seed once."""
+    return derive_seed(seed, *tokens)
+
+
 def paired_vector_plans(nx: int, ny: int, d: int, seed: int) -> tuple[SketchPlan, SketchPlan]:
     """Independent per-input plans for a bilinear pair, from one seed."""
+    seed = _integer(seed, "seed")
     return (
-        build_plan([nx], [d], derive_seed(seed, "x")),
-        build_plan([ny], [d], derive_seed(seed, "y")),
+        build_plan([nx], [d], _child_seed(seed, "x")),
+        build_plan([ny], [d], _child_seed(seed, "y")),
     )
 
 
@@ -349,9 +370,10 @@ def image_text_plans(
     out = list(output_dims)
     if len(out) != 4:
         raise ValueError(f"need four output dims, got {out}")
+    seed = _integer(seed, "seed")
     return (
-        build_plan(image_dims, out[:3], derive_seed(seed, "img")),
-        build_plan([text_len], [out[3]], derive_seed(seed, "txt")),
+        build_plan(image_dims, out[:3], _child_seed(seed, "img")),
+        build_plan([text_len], [out[3]], _child_seed(seed, "txt")),
     )
 
 
@@ -359,4 +381,5 @@ def repeated_vector_plans(n: int, d: int, count: int, seed: int) -> tuple[Sketch
     """Independent plans for repeated sketching of one vector (factor r = 1..count)."""
     if _integer(count, "count") < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return tuple(build_plan([n], [d], derive_seed(seed, "x", r)) for r in range(1, count + 1))
+    seed = _integer(seed, "seed")
+    return tuple(build_plan([n], [d], _child_seed(seed, "x", r)) for r in range(1, count + 1))

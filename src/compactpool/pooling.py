@@ -14,8 +14,10 @@ Time mct shears its sketch, which turns the convolution along the (1, 1, 1)
 diagonal into d*d rows, and leaves through the unshear map. The "frequency"
 variant keeps the complex product (for mct, the full 3-D spectrum) and skips
 the inverse. Either variant raises ResidueError rather than return
-non-finite values. mcb, mct and local_mct return PooledFeature(data, plans),
-whose domain is its data's type: ComplexTensor "frequency", DenseTensor "time".
+non-finite values, also when a caller's warning filter turns numpy's
+floating-point warnings into errors. mcb, mct and local_mct return
+PooledFeature(data, plans), whose domain is its data's type: ComplexTensor
+"frequency", DenseTensor "time".
 
 Plan seeds are derived deterministically from the config seed, so a single
 (config, inputs) pair reproduces the whole pipeline. Outputs are
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import hashplan
 from .sketch import count_sketch, md_sketch
-from .spectral import checked_finite, checked_real, indfft, ndfft
+from .spectral import ResidueError, checked_finite, checked_real, indfft, ndfft
 from .tensor import ComplexTensor, DenseTensor, _integer, pad_with_ones, stack_blocks
 
 __all__ = [
@@ -110,8 +112,19 @@ def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
     if cfg.pad_with_ones:
         x, y = pad_with_ones(x, y.dims[0]), pad_with_ones(y, x.dims[0])
     px, py = hashplan.paired_vector_plans(x.dims[0], y.dims[0], d, cfg.seed)
-    (data,) = _leave(_spectra(count_sketch(x, px).values[None], [(y, py)]), cfg.variant, "mcb")
+    try:
+        (data,) = _leave(_spectra(count_sketch(x, px).values[None], [(y, py)]), cfg.variant, "mcb")
+    except RuntimeWarning as e:
+        raise _non_finite("mcb", e) from e
     return PooledFeature(data, (px, py))
+
+
+def _non_finite(where: str, warning: RuntimeWarning) -> ResidueError:
+    """The exit check's refusal of a numpy overflow or invalid value warning raised as an error.
+
+    Either leaves a non-finite value, which the exit check would refuse.
+    """
+    return ResidueError(f"{where}: result holds non-finite values ({warning})")
 
 
 def _spectra(rows: np.ndarray, pairs: list[tuple[DenseTensor, hashplan.SketchPlan]]) -> np.ndarray:
@@ -122,7 +135,7 @@ def _spectra(rows: np.ndarray, pairs: list[tuple[DenseTensor, hashplan.SketchPla
     at the cost of plain multiplies (the reduction took about three times one
     multiply at d = 1024). The (R, d) complex result is a new array.
     """
-    stack = np.vstack([rows, *(count_sketch(v, p).values for v, p in pairs)])
+    stack = np.concatenate([rows, *(count_sketch(v, p).values[None] for v, p in pairs)])
     spectra = ndfft(DenseTensor._adopt(stack.shape, stack), batched=True).array
     return functools.reduce(np.multiply, spectra[len(rows):], spectra[:len(rows)])
 
@@ -185,8 +198,15 @@ def mct(img: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> PooledFeature
     the text sketch through a length-d transform, and the result is unsheared,
     Y(t1, t2, t3) = Ys((t1 - t3) mod d, (t2 - t3) mod d, t3).
     """
+    _require_dense("mct", img, txt)
     (feature,) = _mct_blocks(DenseTensor._adopt((1, *img.dims), img.values), txt, cfg)
     return feature
+
+
+def _require_dense(where: str, img, txt) -> None:
+    if not (isinstance(img, DenseTensor) and isinstance(txt, DenseTensor)):
+        raise ValueError(f"{where} needs a DenseTensor image and text, got "
+                         f"{type(img).__name__} and {type(txt).__name__}")
 
 
 def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> list[PooledFeature]:
@@ -210,16 +230,20 @@ def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> li
         )
     p_img, p_txt = hashplan.image_text_plans(blocks.dims[1:], txt.dims[0], cfg.output_dims, cfg.seed)
     plans = (p_img, p_txt)
-    sketches = md_sketch(blocks, p_img)
-    if cfg.variant == "frequency":
-        fw = ndfft(count_sketch(txt, p_txt)).values
-        idx = (np.arange(d1)[:, None, None] + np.arange(d2)[:, None] + np.arange(d3)) % d4
-        product, layout = ndfft(sketches, batched=True).array * fw[idx], None
-    else:
-        shear, layout = _shear_maps(d4)
-        rows = np.take(sketches.values.reshape(blocks.dims[0], -1), shear, axis=1).reshape(-1, d4)
-        product = _spectra(rows, [(txt, p_txt)]).reshape(sketches.dims)
-    return [PooledFeature(data, plans) for data in _leave(product, cfg.variant, "mct", layout)]
+    try:
+        sketches = md_sketch(blocks, p_img)
+        if cfg.variant == "frequency":
+            fw = ndfft(count_sketch(txt, p_txt)).values
+            idx = (np.arange(d1)[:, None, None] + np.arange(d2)[:, None] + np.arange(d3)) % d4
+            product, layout = ndfft(sketches, batched=True).array * fw[idx], None
+        else:
+            shear, layout = _shear_maps(d4)
+            rows = np.take(sketches.values.reshape(blocks.dims[0], -1), shear, axis=1)
+            product = _spectra(rows.reshape(-1, d4), [(txt, p_txt)]).reshape(sketches.dims)
+        data = _leave(product, cfg.variant, "mct", layout)
+    except RuntimeWarning as e:
+        raise _non_finite("mct", e) from e
+    return [PooledFeature(block, plans) for block in data]
 
 
 def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTensor:
@@ -236,8 +260,11 @@ def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTe
     if _integer(d, "output size") < 1:
         raise ValueError(f"output size must be >= 1, got {d}")
     plans = hashplan.repeated_vector_plans(x.dims[0], d, degree, seed)
-    head = count_sketch(x, plans[0]).values[None]
-    (sketch,) = _leave(_spectra(head, [(x, p) for p in plans[1:]]), "time", "polynomial_sketch")
+    try:
+        head = count_sketch(x, plans[0]).values[None]
+        (sketch,) = _leave(_spectra(head, [(x, p) for p in plans[1:]]), "time", "polynomial_sketch")
+    except RuntimeWarning as e:
+        raise _non_finite("polynomial_sketch", e) from e
     return sketch
 
 
@@ -256,6 +283,7 @@ def local_mct(
     features are views of one shared read-only array, so keeping any of them
     keeps all of it; time-variant features each own their values.
     """
+    _require_dense("local_mct", img, txt)
     blocks = stack_blocks(img, block_dims)
     grid = tuple(full // b for full, b in zip(img.dims, blocks.dims[1:]))
     return list(zip(np.ndindex(*grid), _mct_blocks(blocks, txt, cfg)))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hashplan import ModeHash, SketchPlan
+from .hashplan import ModeHash, SketchPlan, _Memo, _plan_bytes
 from .tensor import DenseTensor, _integer
 
 __all__ = [
@@ -32,7 +32,11 @@ _GEMM_MAX_OUTPUT = 64
 
 
 def count_sketch(v: DenseTensor, p: SketchPlan) -> DenseTensor:
-    """Scatter a real vector into signed buckets: w(t) = sum over h(i)=t of s(i) v(i)."""
+    """Scatter a real vector into signed buckets: w(t) = sum over h(i)=t of s(i) v(i).
+
+    One multiply by the plan's float signs and one np.bincount, which adds
+    the entries of each bucket in index order.
+    """
     if not isinstance(v, DenseTensor):
         raise ValueError(f"count_sketch needs a DenseTensor, got {type(v).__name__}")
     if v.order != 1:
@@ -42,7 +46,8 @@ def count_sketch(v: DenseTensor, p: SketchPlan) -> DenseTensor:
     mode = p.modes[0]
     if v.dims[0] != mode.input_size:
         raise ValueError(f"size mismatch: vector {v.dims[0]}, plan {mode.input_size}")
-    return DenseTensor._adopt((mode.output_size,), _scatter(v.values, [mode], 1, 1))
+    w = np.bincount(mode.hash_table, v.values * mode._signs, minlength=mode.output_size)
+    return DenseTensor._adopt((mode.output_size,), w)
 
 
 def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:
@@ -82,53 +87,74 @@ def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:
     if count == 0:
         return DenseTensor._adopt(dims, np.zeros(dims))
     x = t.values
-    for gemm, run, pre, post in _kernel_runs(p):
-        x = _gemm(x, run[0], count, pre, post) if gemm else _scatter(x, run, count * pre, post)
+    for onehot, run, pre, post in _kernel(p):
+        if onehot is None:
+            x = _scatter(x, run, count * pre, post)
+        else:
+            x = _gemm(x, onehot, count, pre, post)
     return DenseTensor._adopt(dims, x)
 
 
-def _kernel_runs(p: SketchPlan) -> list[tuple[bool, list[ModeHash], int, int]]:
-    """p's modes in order as (gemm, modes, pre, post): GEMM modes alone, scatter modes in runs.
+# md_sketch's kernel per plan, built on its first sketch. Keyed by id(plan):
+# an entry holds its plan, so no other live object has that id while the
+# entry exists. An entry counts its plan's bytes and its one-hot matrices'
+# (8 * n * d bytes each): within the memo's 1 MiB, a (2048, 14, 14) image
+# plan keeps them up to d = 32; at d = 64 they are built per call.
+_kernels = _Memo(lambda entry: _plan_bytes(entry[0]) + sum(
+    onehot.nbytes for onehot, *_ in entry[1] if onehot is not None))
 
-    pre is the product of the output sizes before the run, post that of the
-    input sizes after it.
+
+def _kernel(p: SketchPlan) -> list[tuple[np.ndarray | None, list[ModeHash], int, int]]:
+    """p's modes in order as (onehot, modes, pre, post), memoised per plan.
+
+    A GEMM mode comes alone with its read-only signed one-hot matrix, and
+    scatter modes come in runs with None. pre is the product of the output
+    sizes before the run, post that of the input sizes after it.
     """
-    runs: list[tuple[bool, list[ModeHash], int, int]] = []
+    entry = _kernels.get(id(p))
+    if entry is not None:
+        return entry[1]
+    runs: list[tuple[np.ndarray | None, list[ModeHash], int, int]] = []
     pre, post = 1, math.prod(p.input_dims)
     for mode in p.modes:
         post //= mode.input_size
-        gemm = mode.output_size <= _GEMM_MAX_OUTPUT and mode.output_size <= pre * post
-        if gemm or not runs or runs[-1][0]:
-            runs.append((gemm, [mode], pre, post))
+        if mode.output_size <= _GEMM_MAX_OUTPUT and mode.output_size <= pre * post:
+            # n x d, so the last mode's right-multiply reads it row-major
+            onehot = np.zeros((mode.input_size, mode.output_size))
+            onehot[np.arange(mode.input_size), mode.hash_table] = mode.sign_table
+            onehot.setflags(write=False)
+            runs.append((onehot, [mode], pre, post))
+        elif not runs or runs[-1][0] is not None:
+            runs.append((None, [mode], pre, post))
         else:
-            runs[-1] = (False, runs[-1][1] + [mode], runs[-1][2], post)
+            runs[-1] = (None, runs[-1][1] + [mode], runs[-1][2], post)
         pre *= mode.output_size
+    _kernels.put(id(p), (p, runs))
     return runs
 
 
-def _gemm(x: np.ndarray, mode: ModeHash, count: int, pre: int, post: int) -> np.ndarray:
-    """x, seen as count blocks of (pre, n, post), times mode's d x n signed one-hot matrix.
+def _gemm(x: np.ndarray, onehot: np.ndarray, count: int, pre: int, post: int) -> np.ndarray:
+    """x, seen as count blocks of (pre, n, post), times the d x n signed one-hot matrix.
 
-    The blocks stay a matmul batch axis, never part of a GEMM's rows, so every
-    block gets the same BLAS calls as it would alone.
+    onehot holds that matrix transposed. The blocks stay a matmul batch
+    axis, never part of a GEMM's rows, so every block gets the same BLAS
+    calls as it would alone.
     """
-    n, d = mode.input_size, mode.output_size
-    s = np.zeros((n, d))  # transposed, so the last mode's right-multiply reads it row-major
-    s[np.arange(n), mode.hash_table] = mode.sign_table
+    n = onehot.shape[0]
     if post == 1:
-        return np.matmul(x.reshape(count, pre, n), s)
-    return np.matmul(s.T, x.reshape(count * pre, n, post))
+        return np.matmul(x.reshape(count, pre, n), onehot)
+    return np.matmul(onehot.T, x.reshape(count * pre, n, post))
 
 
 def _scatter(x: np.ndarray, run: list[ModeHash], rows: int, post: int) -> np.ndarray:
     """Signed np.bincount of x, seen as (rows, *run's input sizes, post), along the run's modes."""
     first, *rest = run
-    at, sign, size = first.hash_table, first.sign_table, rows * first.output_size * post
+    at, sign, size = first.hash_table, first._signs, rows * first.output_size * post
     if rows > 1:
         at = np.add.outer(np.arange(rows) * first.output_size, at)
     for mode in rest:
         at = np.add.outer(at * mode.output_size, mode.hash_table)
-        sign = np.multiply.outer(sign, mode.sign_table)
+        sign = np.multiply.outer(sign, mode._signs)
         size *= mode.output_size
     if post > 1:
         at = np.add.outer(at * post, np.arange(post))

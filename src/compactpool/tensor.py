@@ -38,6 +38,9 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+_INT = {int}
+
+
 def _integer(v, what: str) -> int:
     """v as an int; bools and non-integers (2.5, "3") are refused, never truncated."""
     if type(v) is int:  # the common case, checked on every plan lookup: one type test
@@ -48,12 +51,15 @@ def _integer(v, what: str) -> int:
 
 
 def _checked_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(_integer(d, "dims entry") for d in dims)
-    if any(d < 0 for d in out):
+    out = tuple(dims)
+    if not {*map(type, out)} <= _INT:  # the common case, plain ints, costs one type test
+        out = tuple(_integer(d, "dims entry") for d in out)
+    if out and min(out) < 0:
         raise ValueError(f"dims must be nonnegative, got {out}")
     if math.prod(out) > _MAX_CELLS:
         raise CapacityError(f"dims {out} address {math.prod(out)} cells, over the {_MAX_CELLS} cap")
-    np.empty((0,) * len(out))  # NumPy's own refusal of more modes than an array can hold
+    if len(out) > 32:  # every NumPy holds 32 modes; past that, its own refusal decides
+        np.empty((0,) * len(out))
     return out
 
 
@@ -76,24 +82,24 @@ class _Tensor:
             raise ValueError(
                 f"got {values.size} values for dims {dims} (need {math.prod(dims)})"
             )
-        values.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "values", values.reshape(-1))
+        values.setflags(write=False)
+        object.__setattr__(self, "__dict__", {"dims": dims, "values": values.reshape(-1)})
 
     @classmethod
     def _adopt(cls: type[_T], dims: tuple[int, ...], values: np.ndarray) -> _T:
         """Wrap an array the library has just allocated, without copying it.
 
-        The array is frozen in place, so it must not be shared with a caller;
-        freeze a whole stack before adopting blocks sliced from it. A read-only
-        view of immutable bytes the library has just read qualifies too.
+        dims is a tuple of Python ints. The array is frozen in place, so it
+        must not be shared with a caller; freeze a whole stack before adopting
+        blocks sliced from it. A read-only view of immutable bytes the library
+        has just read qualifies too. Only the dtype and the size are checked,
+        and the fields are stored in one step, as the constructors store them.
         """
         if values.dtype != cls._dtype or values.size != math.prod(dims):
             raise ValueError(f"cannot adopt {values.dtype} array of {values.size} values as {dims}")
-        values.flags.writeable = False
+        values.setflags(write=False)
         t = object.__new__(cls)
-        object.__setattr__(t, "dims", tuple(map(int, dims)))
-        object.__setattr__(t, "values", values.reshape(-1))
+        object.__setattr__(t, "__dict__", {"dims": dims, "values": values.reshape(-1)})
         return t
 
     @classmethod
@@ -173,6 +179,8 @@ def inner_product(a: DenseTensor, b: DenseTensor) -> float:
 
 def pad_with_ones(x: DenseTensor, pad_len: int) -> DenseTensor:
     """Append pad_len ones to a vector: [x; 1, 1, ..., 1]."""
+    if not isinstance(x, DenseTensor):
+        raise ValueError(f"pad_with_ones needs a DenseTensor, got {type(x).__name__}")
     if x.order != 1:
         raise ValueError(f"pad_with_ones needs an order-1 tensor, got order {x.order}")
     pad_len = _integer(pad_len, "pad_len")
@@ -188,6 +196,8 @@ def stack_blocks(t: DenseTensor, block_dims: Sequence[int]) -> DenseTensor:
     order. Every tensor dim and block dim must be >= 1, and every block dim
     must divide the matching tensor dim; there is no implicit padding.
     """
+    if not isinstance(t, DenseTensor):
+        raise ValueError(f"stack_blocks needs a DenseTensor, got {type(t).__name__}")
     if t.order != 3:
         raise ValueError(f"tiling needs an order-3 tensor, got order {t.order}")
     if t.size == 0:

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -483,6 +484,28 @@ def test_pool_frequency_overflow_fails(tmp_path, capsys, mode, a_value, dims):
                    "--variant", "freq", "--seed", "1", "--out", str(out)])
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, a_value, dims, variant", [
+    ("mcb", [1e300, 1.0, 2.0], "4", "time"),
+    ("mcb", [1e300, 1.0, 2.0], "4", "freq"),
+    ("mct", [[[1e300]]], "2,2,2,2", "time"),
+])
+def test_pool_overflow_under_warnings_as_errors_fails_the_check(tmp_path, capsys, mode, a_value,
+                                                               dims, variant):
+    # As under `python -W error`: numpy's overflow warning is an error, and pool still
+    # reports the failed check with exit 1 rather than a traceback.
+    a, b = tmp_path / "a.tsk", tmp_path / "b.tsk"
+    write_tensor(DenseTensor.from_array(a_value), a)
+    write_tensor(DenseTensor.vector([1e300, 3.0, 2.0]), b)
+    out = tmp_path / "z.tsk"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["pool", "--mode", mode, "--a", str(a), "--b", str(b), "--dims", dims,
+                   "--variant", variant, "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert "check failed" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -240,9 +240,13 @@ def test_memo_plans_are_read_only(memo):
     assert build_plan([5], [3], 11) == load_plan(save_plan(p))
 
 
+# Memo bytes per plan entry: the int64 hash and sign tables and the float64 signs.
+_ENTRY_BYTES = 24
+
+
 def _third_of_budget():
     """Input size of a one-mode plan that takes a little under a third of the memo."""
-    return (hashplan._MEMO_BYTES // 3 - hashplan._MODE_OVERHEAD) // 16
+    return (hashplan._MEMO_BYTES // 3 - hashplan._MODE_OVERHEAD) // _ENTRY_BYTES
 
 
 def test_memo_stays_within_its_budget(memo):
@@ -274,7 +278,7 @@ def test_memo_skips_a_plan_larger_than_its_budget(memo):
 
 
 def test_memo_keeps_its_byte_count_under_concurrent_builds(memo):
-    n = (hashplan._MEMO_BYTES // 8 - hashplan._MODE_OVERHEAD) // 16
+    n = (hashplan._MEMO_BYTES // 8 - hashplan._MODE_OVERHEAD) // _ENTRY_BYTES
     built = {}
     errors = []
 
@@ -298,13 +302,50 @@ def test_memo_keeps_its_byte_count_under_concurrent_builds(memo):
         sys.setswitchinterval(old)
     assert not errors and not any(t.is_alive() for t in threads)
     assert len(built) == 4 * 40
-    assert memo.nbytes == len(memo) * (n * 16 + hashplan._MODE_OVERHEAD) <= hashplan._MEMO_BYTES
+    entry = n * _ENTRY_BYTES + hashplan._MODE_OVERHEAD
+    assert memo.nbytes == len(memo) * entry <= hashplan._MEMO_BYTES
     for seed, plan in built.values():
         assert plan == build_plan([n], [4], seed)
 
 
 def test_derive_seed_renders_tokens_with_str():
     assert derive_seed(3, "x", 1) == derive_seed(3, "x", "1")
+
+
+def test_derive_seed_keeps_its_contract_beside_the_memoised_child_seeds():
+    # Values as before the plan helpers memoised their child seeds.
+    assert derive_seed(5, [1, 2]) == 17025440629307652660
+    assert derive_seed(5, "x", 1) == 14435823284384813519
+    for seed in (True, np.bool_(False)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            derive_seed(seed, "x")
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            hashplan.paired_vector_plans(2, 2, 4, seed)
+    for seed in (5, np.int64(5), 5 + 2**64, -1):
+        px, py = hashplan.paired_vector_plans(3, 4, 8, seed)
+        assert (px.seed, py.seed) == (derive_seed(seed, "x"), derive_seed(seed, "y"))
+    (p1, p2) = hashplan.repeated_vector_plans(3, 8, 2, 5)
+    assert (p1.seed, p2.seed) == (derive_seed(5, "x", 1), derive_seed(5, "x", 2))
+    img, txt = hashplan.image_text_plans((2, 2, 2), 3, (4,) * 4, 5)
+    assert (img.seed, txt.seed) == (derive_seed(5, "img"), derive_seed(5, "txt"))
+
+
+def test_plans_keep_read_only_float_signs_that_the_memo_counts(memo):
+    plan = build_plan([5, 7], [3, 4], 11)
+    assert hashplan._plan_bytes(plan) == 24 * 12 + 2 * hashplan._MODE_OVERHEAD == memo.nbytes
+    loaded = load_plan(save_plan(plan))
+    for p in (plan, loaded, compose_sum(build_plan([2], [4], 1), build_plan([3], [4], 2))):
+        for m in p.modes:
+            assert m._signs.dtype == np.float64 and not m._signs.flags.writeable
+            assert np.array_equal(m._signs, m.sign_table)
+
+
+def test_memo_hits_only_plain_int_keys_and_misses_run_every_check(memo):
+    plan = build_plan([5], [3], 11)
+    assert build_plan([np.int64(5)], [3], np.uint64(11)) is plan
+    for bad in ([[True], [3], 11], [[5], [3.0], 11], [[5], [3], True], [[5.0], [3], 11]):
+        with pytest.raises(ValueError):
+            build_plan(*bad)
 
 
 def _plan_doc():

@@ -550,6 +550,29 @@ def test_every_exit_refuses_an_overflowing_product(name, call):
         call()
 
 
+_OVERFLOWS = [
+    ("mcb", lambda: mcb(_LARGE, _LARGE_TOO, PoolingConfig((4,), "time"))),
+    ("mcb", lambda: mcb(_LARGE, _LARGE_TOO, PoolingConfig((4,), "frequency"))),
+    ("polynomial_sketch", lambda: polynomial_sketch(_LARGE, 2, 4, 0)),
+    ("mct", lambda: mct(DenseTensor.from_array([[[1e300]]]), _LARGE, PoolingConfig((2,) * 4, "time"))),
+    ("mct", lambda: mct(DenseTensor.from_array([[[1e300]]]), _LARGE,
+                        PoolingConfig((2,) * 4, "frequency"))),
+    ("mct", lambda: local_mct(_BIG_IMG, _BIG, (1, 1, 1), PoolingConfig(_UNIT, "time"))),
+]
+_LARGE = DenseTensor.vector([1e300, 1.0, 2.0])
+_LARGE_TOO = DenseTensor.vector([1e300, 3.0, 2.0])
+
+
+@pytest.mark.parametrize("name, call", _OVERFLOWS,
+                         ids=["mcb-time", "mcb-frequency", "poly", "mct-time", "mct-frequency",
+                              "local_mct-time"])
+def test_an_overflow_under_warnings_as_errors_is_a_residue_error(name, call):
+    # The module's filter turns numpy's overflow and invalid value warnings into errors;
+    # the call still refuses its non-finite result with the exit check's error.
+    with pytest.raises(ResidueError, match=f"^{name}: result holds non-finite values"):
+        call()
+
+
 _PLAN = build_plan([3], [4], 0)
 
 
@@ -777,3 +800,35 @@ def test_each_time_path_is_one_row_transform_each_way(monkeypatch, case):
     rng = np.random.default_rng(150)
     call(DenseTensor.from_array(rng.standard_normal((4, 4, 2))), _gauss_vec(5, 151))
     assert counts == {"ndfft": forward, "indfft": inverse}
+
+
+def test_a_held_config_repeats_without_hashing_or_drawing(monkeypatch):
+    # The second call of a held config finds its child seeds and its plans memoised:
+    # no SHA-256 digest and no per-mode generator.
+    counts = {"sha256": 0, "_mode_rng": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hashplan.hashlib, "sha256", counted("sha256", hashplan.hashlib.sha256))
+    monkeypatch.setattr(hashplan, "_mode_rng", counted("_mode_rng", hashplan._mode_rng))
+    img, x = DenseTensor.from_array(np.ones((4, 4, 4))), _gauss_vec(9, 160)
+    # Seeds no other test uses, so each first call must hash and draw.
+    seed = 2**63 + 160
+    calls = [
+        lambda: mcb(x, x, PoolingConfig((8,), "time", False, seed)),
+        lambda: mcb(x, x, PoolingConfig((8,), "frequency", True, seed + 1)),
+        lambda: mct(img, x, PoolingConfig((4,) * 4, "time", False, seed + 2)),
+        lambda: polynomial_sketch(x, 3, 8, seed + 3),
+    ]
+    for call in calls:
+        first = call()
+        assert counts["sha256"] > 0 and counts["_mode_rng"] > 0
+        counts.update(sha256=0, _mode_rng=0)
+        again = call()
+        assert counts == {"sha256": 0, "_mode_rng": 0}
+        data = [getattr(r, "data", r) for r in (first, again)]
+        assert data[0] == data[1]

@@ -23,7 +23,14 @@ from compactpool.hashplan import (
     repeated_vector_plans,
     save_plan,
 )
-from compactpool.pooling import PoolingConfig, PoolingContractError, mcb, mct, polynomial_sketch
+from compactpool.pooling import (
+    PoolingConfig,
+    PoolingContractError,
+    local_mct,
+    mcb,
+    mct,
+    polynomial_sketch,
+)
 from compactpool.reference import kernel_oracle, mcb_oracle, mct_oracle
 from compactpool.sketch import count_sketch, md_sketch
 from compactpool.spectral import naive_ndft, ndfft
@@ -39,6 +46,7 @@ _VEC = DenseTensor.vector([1.0, 2.0])
 _MAT = DenseTensor.from_array(np.ones((2, 2)))
 _IMG = DenseTensor.from_array(np.ones((2, 2, 2)))
 _CVEC = ComplexTensor((2,), [1j, 1.0])
+_CIMG = ComplexTensor.from_array(np.ones((2, 2, 2)) + 0j)
 
 
 def _tsk1(tmp_path, order, reserved, dims):
@@ -113,6 +121,16 @@ REFUSALS = {
                                                 build_plan([2, 2], [200, 2], 0)),
                           ValueError, "md_sketch needs a DenseTensor"),
     "ndfft-batched-2": (lambda tmp: ndfft(_IMG, batched=2), ValueError, "batched must be a bool"),
+    # A complex image is refused by name, never with the internal wrapping message.
+    "mct-complex-image": (lambda tmp: mct(_CIMG, _VEC, PoolingConfig((2,) * 4)), ValueError,
+                          "mct needs a DenseTensor image and text, got ComplexTensor"),
+    "local-mct-complex-image": (lambda tmp: local_mct(_CIMG, _VEC, (1, 1, 1),
+                                                      PoolingConfig((2,) * 4)),
+                                ValueError, "local_mct needs a DenseTensor image and text"),
+    "stack-blocks-complex": (lambda tmp: stack_blocks(_CIMG, (1, 1, 1)), ValueError,
+                             "stack_blocks needs a DenseTensor"),
+    "mcb-pad-complex": (lambda tmp: mcb(_CVEC, _VEC, PoolingConfig((4,), pad_with_ones=True)),
+                        ValueError, "pad_with_ones needs a DenseTensor"),
 }
 
 

@@ -2,13 +2,17 @@ import contextlib
 import inspect
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compactpool import hashplan, sketch
 from compactpool.hashplan import ModeHash, SketchPlan, build_plan
+from compactpool.reference import mcb_oracle, mct_oracle
 from compactpool.sketch import (
     aggregate_estimates,
     count_sketch,
@@ -350,6 +354,115 @@ def test_md_sketch_inner_product_has_the_exact_mean_and_variance():
     second = np.einsum("abc,def,ghi,jkl,adgj,behk,cfil->", a, b, a, b,
                        *(_pair_moment(n, d) for n in in_dims))
     assert abs(estimates.var() - (second - exact**2)) <= 1e-12 * estimates.var()
+
+
+def _correlated_pair(shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape)
+    return a, a + 0.5 * rng.standard_normal(shape)
+
+
+def test_count_sketch_inner_product_has_the_exact_mean_and_variance():
+    # All 64 plans of a 3 -> 2 count sketch.
+    n, d = 3, 2
+    a, b = _correlated_pair(n, 12)
+    u, v = DenseTensor.vector(a), DenseTensor.vector(b)
+    estimates = np.array([count_sketch(u, p).values @ count_sketch(v, p).values
+                          for p in (SketchPlan((m,), 0) for m in _every_mode(n, d))])
+    assert estimates.size == 64
+    exact = float(a @ b)
+    assert abs(estimates.mean() - exact) <= 1e-12 * abs(exact)
+    # One mode: Var = (1/d) * sum over i != j of (a_i^2 b_j^2 + a_i b_i a_j b_j).
+    off = 1 - np.eye(n)
+    closed = (np.outer(a * a, b * b) + np.outer(a * b, a * b))[off == 1].sum() / d
+    assert abs(estimates.var() - closed) <= 1e-12 * closed
+
+
+def test_mcb_oracle_inner_product_has_the_exact_mean():
+    # All 256 pairs of 2 -> 2 plans: E<mcb(x, y), mcb(u, v)> = <x, u><y, v>.
+    x, u = (DenseTensor.vector(w) for w in _correlated_pair(2, 13))
+    y, v = (DenseTensor.vector(w) for w in _correlated_pair(2, 14))
+    plans = [SketchPlan((m,), 0) for m in _every_mode(2, 2)]
+    estimates = np.array([mcb_oracle(x, y, 2, 0, plans=pair).values
+                          @ mcb_oracle(u, v, 2, 0, plans=pair).values
+                          for pair in itertools.product(plans, plans)])
+    assert estimates.size == 256
+    exact = float(x.values @ u.values) * float(y.values @ v.values)
+    assert abs(estimates.mean() - exact) <= 1e-12 * abs(exact)
+
+
+def test_mct_oracle_inner_product_has_the_exact_mean():
+    # All 4,096 plan pairs of a (2, 1, 1) image and a length-2 text onto d = 2:
+    # E<mct(A, t), mct(B, u)> = <A, B><t, u>.
+    img_dims, n, d = (2, 1, 1), 2, 2
+    a, b = (DenseTensor.from_array(w) for w in _correlated_pair(img_dims, 15))
+    t, u = (DenseTensor.vector(w) for w in _correlated_pair(n, 16))
+    img_plans = [SketchPlan(modes, 0)
+                 for modes in itertools.product(*(_every_mode(m, d) for m in img_dims))]
+    txt_plans = [SketchPlan((m,), 0) for m in _every_mode(n, d)]
+    estimates = np.array([mct_oracle(a, t, d, 0, plans=pair).values
+                          @ mct_oracle(b, u, d, 0, plans=pair).values
+                          for pair in itertools.product(img_plans, txt_plans)])
+    assert estimates.size == 4096
+    exact = float(a.values @ b.values) * float(t.values @ u.values)
+    assert abs(estimates.mean() - exact) <= 1e-12 * abs(exact)
+
+
+def test_md_sketch_kernels_are_read_only_equal_their_tables_and_counted(monkeypatch):
+    monkeypatch.setattr(sketch, "_kernels", hashplan._Memo(sketch._kernels._size))
+    plan = build_plan([3, 4, 5], [2, 3, 70], 21)  # GEMM, GEMM, scatter
+    md_sketch(DenseTensor.from_array(np.ones((3, 4, 5))), plan)
+    ((kept_plan, runs),) = sketch._kernels._values.values()
+    assert kept_plan is plan and [r[0] is None for r in runs] == [False, False, True]
+    for onehot, (mode,), *_ in runs[:2]:
+        assert not onehot.flags.writeable
+        want = np.zeros((mode.input_size, mode.output_size))
+        want[np.arange(mode.input_size), mode.hash_table] = mode.sign_table
+        assert np.array_equal(onehot, want)
+    assert sketch._kernels.nbytes == hashplan._plan_bytes(plan) + 8 * (3 * 2 + 4 * 3)
+
+
+@pytest.mark.parametrize("d, kept", [(16, True), (32, True), (64, False)])
+def test_vqa_image_plans_stay_memoised_and_keep_kernels_within_the_bound(monkeypatch, d, kept):
+    # The one-hot matrix of the 2048-channel mode takes 2048 * d * 8 bytes: 1 MiB at d = 64,
+    # the memo's bound, so that kernel is built per call. The plan memo holds no kernel.
+    monkeypatch.setattr(sketch, "_kernels", hashplan._Memo(sketch._kernels._size))
+    plan = build_plan([2048, 14, 14], [d] * 3, 22)
+    assert build_plan([2048, 14, 14], [d] * 3, 22) is plan
+    runs = sketch._kernel(plan)
+    assert runs[0][0].shape == (2048, d)
+    assert (sketch._kernel(plan) is runs) is kept
+    assert len(sketch._kernels) == kept
+
+
+def test_md_sketch_kernel_memo_fills_alike_under_concurrent_calls(monkeypatch):
+    monkeypatch.setattr(sketch, "_kernels", hashplan._Memo(sketch._kernels._size))
+    plans = [build_plan([6, 5, 4], [3, 3, 3], seed) for seed in range(8)]
+    blocks = DenseTensor.from_array(np.random.default_rng(23).standard_normal((2, 6, 5, 4)))
+    want = [md_sketch(blocks, p).values.tobytes() for p in plans]
+    sketch._kernels.clear()
+    got, errors = [], []
+
+    def worker():
+        try:
+            for _ in range(20):
+                got.append([md_sketch(blocks, p).values.tobytes() for p in plans])
+        except Exception as e:  # surfaced by the assertion below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(got) == 80 and all(g == want for g in got)
+    assert len(sketch._kernels) == len(plans)
 
 
 @settings(max_examples=60, deadline=None)
