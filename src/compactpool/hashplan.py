@@ -190,7 +190,8 @@ class _Memo:
 
     Holds at most _MEMO_BYTES; a value larger than that is not kept. Sharing
     is safe because the values are immutable: build_plan keeps frozen plans
-    with read-only tables, pooling its read-only shear maps.
+    with read-only tables, pooling its read-only shear maps, sketch each
+    plan's md_sketch kernel with read-only one-hot matrices.
     """
 
     def __init__(self, size) -> None:

@@ -28,7 +28,6 @@ differently (agreement is then to rounding, far inside 1e-12 relative).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,7 +136,10 @@ def _spectra(rows: np.ndarray, pairs: list[tuple[DenseTensor, hashplan.SketchPla
     """
     stack = np.concatenate([rows, *(count_sketch(v, p).values[None] for v, p in pairs)])
     spectra = ndfft(DenseTensor._adopt(stack.shape, stack), batched=True).array
-    return functools.reduce(np.multiply, spectra[len(rows):], spectra[:len(rows)])
+    product = spectra[:len(rows)]
+    for k in range(len(rows), len(stack)):
+        product = product * spectra[k]
+    return product
 
 
 def _leave(product: np.ndarray, variant: str, where: str,
@@ -152,10 +154,11 @@ def _leave(product: np.ndarray, variant: str, where: str,
     by the flat gather layout if one is given. Errors name ``where``.
     """
     dims = product.shape[1:]
-    rows = ComplexTensor._adopt((product.size // dims[-1], dims[-1]), product)
     if variant == "frequency":
+        product.setflags(write=False)
         checked_finite(product, where)
         return [ComplexTensor._adopt(dims, block) for block in product]
+    rows = ComplexTensor._adopt((product.size // dims[-1], dims[-1]), product)
     blocks = indfft(rows, batched=True).array.reshape(product.shape)
     reals = (checked_real(block, where) for block in blocks)
     return [DenseTensor._adopt(dims, r if layout is None else r.ravel()[layout]) for r in reals]

@@ -57,7 +57,7 @@ def checked_real(values: np.ndarray, where: str) -> np.ndarray:
     """
     flat = values.reshape(-1)
     total, residue = np.vdot(flat, flat).real, np.vdot(flat.imag, flat.imag)
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         checked_finite(values, where)
         # The sums overflow for finite values above about 1e154: compare the
         # values scaled by their largest component instead.
