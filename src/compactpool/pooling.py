@@ -3,13 +3,16 @@
 mcb sketches the outer product of two vectors as the circular convolution of
 their count-sketches; mct combines the order-3 sketch of an image tensor with
 the sketch of a text vector through their spectra. Every operator runs one
-pipeline: sketch each input, transform, multiply the spectra into a
-(count, *dims) product stack (one block for mcb, polynomial_sketch and mct,
-one per tile for local_mct), then leave through _leave. In the "time"
-variant (real output) every operator is a batch of length-d row
-convolutions through one kernel: _spectra transforms the rows with the text
-or other count-sketches and multiplies the spectra; _leave inverts the rows,
-checks each block's imaginary residue and returns it in its final layout.
+pipeline: sketch each input, convolve into a (count, *dims) product stack
+(one block for mcb, polynomial_sketch and mct, one per tile for local_mct),
+then leave through _leave. In the "time" variant (real output) every
+operator is a batch of length-d real row convolutions through one kernel,
+_convolve, which chooses by row length in one place:
+- d <= _DIRECT_MAX: each further count-sketch w is one np.matmul of the rows
+  against its circulant matrix w[idx]; _leave checks the real rows finite;
+- longer rows: one batched row transform of the rows and the sketches and a
+  product of their spectra; _leave inverts the rows and checks each block's
+  imaginary residue.
 Time mct shears its sketch, which turns the convolution along the (1, 1, 1)
 diagonal into d*d rows, and leaves through the unshear map. The "frequency"
 variant keeps the complex product (for mct, the full 3-D spectrum) and skips
@@ -22,8 +25,9 @@ PooledFeature(data, plans), whose domain is its data's type: ComplexTensor
 Plan seeds are derived deterministically from the config seed, so a single
 (config, inputs) pair reproduces the whole pipeline. Outputs are
 byte-identical for the same numpy/BLAS build and BLAS thread count: md_sketch
-runs BLAS matrix products, whose sums a different thread count may order
-differently (agreement is then to rounding, far inside 1e-12 relative).
+and the direct time kernel run BLAS matrix products, whose sums a different
+thread count may order differently (agreement is then to rounding, far
+inside 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 from . import hashplan
 from .sketch import count_sketch, md_sketch
 from .spectral import ResidueError, checked_finite, checked_real, indfft, ndfft
-from .tensor import ComplexTensor, DenseTensor, _integer, pad_with_ones, stack_blocks
+from .tensor import ComplexTensor, DenseTensor, _integer, stack_blocks
 
 __all__ = [
     "PooledFeature",
@@ -49,6 +53,12 @@ __all__ = [
 ]
 
 VARIANTS = ("time", "frequency")
+
+# Longest time row that _convolve convolves by GEMM against a circulant
+# matrix rather than by FFT. The GEMM won up to d = 128 on a 2-vCPU OpenBLAS
+# host (README table); 64 keeps the tests at _DIRECT_MAX + 1, which run time
+# mct on both kernels, at 65**3 cells a block.
+_DIRECT_MAX = 64
 
 
 class PoolingContractError(ValueError):
@@ -95,11 +105,13 @@ class PooledFeature:
 def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
     """Compact bilinear pooling of two vectors into d buckets.
 
-    Time variant: inverse transform of ndfft(cs(x)) * ndfft(cs(y)), which
-    equals the count-sketch of the flattened outer product under the composed
-    plan. Frequency variant: the elementwise spectral product itself. With
-    pad_with_ones, x gains len(y) trailing ones and y gains len(x), so the
-    sketched product also carries both first-order inputs.
+    Time variant: the circular convolution cs(x) * cs(y), the inverse
+    transform of ndfft(cs(x)) * ndfft(cs(y)), which equals the count-sketch
+    of the flattened outer product under the composed plan. Frequency
+    variant: the elementwise spectral product itself. With pad_with_ones, x
+    gains len(y) trailing ones and y gains len(x), so the sketched product
+    also carries both first-order inputs; the padded vectors are never
+    built (see _padded_sketch).
     """
     if x.order != 1 or y.order != 1:
         raise ValueError("mcb needs two order-1 tensors")
@@ -107,12 +119,15 @@ def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
         raise PoolingContractError(
             f"mcb needs exactly one output dim, got {cfg.output_dims}"
         )
-    d = cfg.output_dims[0]
+    d, nx, ny = cfg.output_dims[0], x.dims[0], y.dims[0]
     if cfg.pad_with_ones:
-        x, y = pad_with_ones(x, y.dims[0]), pad_with_ones(y, x.dims[0])
-    px, py = hashplan.paired_vector_plans(x.dims[0], y.dims[0], d, cfg.seed)
+        px, py = hashplan.paired_vector_plans(nx + ny, ny + nx, d, cfg.seed)
+        sx, sy = _padded_sketch(x, px), _padded_sketch(y, py)
+    else:
+        px, py = hashplan.paired_vector_plans(nx, ny, d, cfg.seed)
+        sx, sy = count_sketch(x, px).values, count_sketch(y, py).values
     try:
-        (data,) = _leave(_spectra(count_sketch(x, px).values[None], [(y, py)]), cfg.variant, "mcb")
+        (data,) = _leave(_convolve(sx[None], [sy], cfg.variant), cfg.variant, "mcb")
     except RuntimeWarning as e:
         raise _non_finite("mcb", e) from e
     return PooledFeature(data, (px, py))
@@ -126,42 +141,103 @@ def _non_finite(where: str, warning: RuntimeWarning) -> ResidueError:
     return ResidueError(f"{where}: result holds non-finite values ({warning})")
 
 
-def _spectra(rows: np.ndarray, pairs: list[tuple[DenseTensor, hashplan.SketchPlan]]) -> np.ndarray:
-    """Spectra of an (R, d) stack of real rows, each times the count-sketch spectra of pairs.
+def _convolve(rows: np.ndarray, sketches: list[np.ndarray], variant: str) -> np.ndarray:
+    """Circular convolution of each real length-d row of rows, shaped (..., d), with each sketch.
 
-    The rows and the pairs' sketches go through one batched row transform,
-    then the pairs' spectra multiply every row's in order, as np.prod would,
-    at the cost of plain multiplies (the reduction took about three times one
-    multiply at d = 1024). The (R, d) complex result is a new array.
+    The one place that picks the time kernel. Time rows of d <= _DIRECT_MAX:
+    the real result of one np.matmul per sketch w against its circulant
+    matrix w[idx]; the leading axes stay a matmul batch axis, so each
+    local_mct block gets the BLAS call it would get alone. Otherwise: the
+    complex spectra of the results, from one batched row transform of the
+    rows and the sketches, the sketches' spectra multiplying every row's in
+    order (np.prod's reduction took about three times one multiply at
+    d = 1024). Shaped like rows; a new array, or rows itself when a direct
+    call has no sketch.
     """
-    stack = np.concatenate([rows, *(count_sketch(v, p).values[None] for v, p in pairs)])
+    d = rows.shape[-1]
+    if variant == "time" and d <= _DIRECT_MAX:
+        idx = _circulant(d)
+        for w in sketches:
+            rows = np.matmul(rows, w[idx])
+        return rows
+    flat = rows.reshape(-1, d)
+    stack = np.concatenate([flat, *(w[None] for w in sketches)])
     spectra = ndfft(DenseTensor._adopt(stack.shape, stack), batched=True).array
-    product = spectra[:len(rows)]
-    for k in range(len(rows), len(stack)):
+    product = spectra[:len(flat)].reshape(rows.shape)
+    for k in range(len(flat), len(stack)):
         product = product * spectra[k]
     return product
 
 
 def _leave(product: np.ndarray, variant: str, where: str,
            layout: np.ndarray | None = None) -> list[DenseTensor | ComplexTensor]:
-    """Exit of every operator: one tensor per block of a (count, *dims) spectral product.
+    """Exit of every operator: one tensor per block of a (count, *dims) product from _convolve.
 
-    product is complex128, must not be shared with a caller, and is frozen in
-    place. Frequency: the product itself, checked finite, each block a view
-    of the one read-only stack. Time: product holds spectra along its last
-    mode only; one batched inverse transform along that mode, then each
-    block's real part after its own residue check, put into its final layout
-    by the flat gather layout if one is given. Errors name ``where``.
+    product must not be shared with a caller, and is frozen in place.
+    Frequency: the complex product itself, checked finite, each block a view
+    of the one read-only stack. Time, real product (rows convolved directly):
+    checked finite as a whole, with no transform and no residue check. Time,
+    complex product (spectra along the last mode): one batched inverse
+    transform along that mode, then each block's real part after its own
+    residue check. A time block is put into its final layout by the flat
+    gather layout if one is given. Errors name ``where``.
     """
     dims = product.shape[1:]
+    product.setflags(write=False)
     if variant == "frequency":
-        product.setflags(write=False)
         checked_finite(product, where)
         return [ComplexTensor._adopt(dims, block) for block in product]
-    rows = ComplexTensor._adopt((product.size // dims[-1], dims[-1]), product)
-    blocks = indfft(rows, batched=True).array.reshape(product.shape)
-    reals = (checked_real(block, where) for block in blocks)
+    if product.dtype == np.float64:
+        checked_finite(product, where)
+        reals = product
+    else:
+        rows = ComplexTensor._adopt((product.size // dims[-1], dims[-1]), product)
+        blocks = indfft(rows, batched=True).array.reshape(product.shape)
+        reals = (checked_real(block, where) for block in blocks)
     return [DenseTensor._adopt(dims, r if layout is None else r.ravel()[layout]) for r in reals]
+
+
+# The circulant map of d takes 8 * d**2 bytes: 32 KiB at d = _DIRECT_MAX.
+_circulant_memo = hashplan._Memo(lambda idx: idx.nbytes)
+
+
+def _circulant(d: int) -> np.ndarray:
+    """Index map idx[i, t] = (t - i) mod d, read-only and memoised per d.
+
+    rows @ w[idx] convolves each length-d row circularly with w.
+    """
+    idx = _circulant_memo.get(d)
+    if idx is None:
+        idx = (np.arange(d) - np.arange(d)[:, None]) % d
+        idx.flags.writeable = False
+        _circulant_memo.put(d, idx)
+    return idx
+
+
+# The ones tail of a padded count-sketch by (id(plan), split). An entry holds
+# its plan, as sketch._kernels does, so no other live object has that id
+# while the entry exists, and counts the plan's bytes with the tail's.
+_tail_memo = hashplan._Memo(lambda entry: hashplan._plan_bytes(entry[0]) + entry[1].nbytes)
+
+
+def _padded_sketch(v: DenseTensor, p: hashplan.SketchPlan) -> np.ndarray:
+    """count_sketch of [v; 1, ..., 1] under p, without building the padded vector.
+
+    cs([v; 1]) = cs_head(v) + cs_tail(1): the head scatters v's entries
+    through the first len(v) entries of p's tables, and the tail, constant
+    per (p, len(v)), is built on the first call and memoised.
+    """
+    if not isinstance(v, DenseTensor):
+        raise ValueError(f"pad_with_ones needs a DenseTensor, got {type(v).__name__}")
+    mode, n = p.modes[0], v.dims[0]
+    entry = _tail_memo.get((id(p), n))
+    if entry is None:
+        tail = np.bincount(mode.hash_table[n:], mode._signs[n:], minlength=mode.output_size)
+        tail.setflags(write=False)
+        entry = (p, tail)
+        _tail_memo.put((id(p), n), entry)
+    head = np.bincount(mode.hash_table[:n], v.values * mode._signs[:n], minlength=mode.output_size)
+    return head + entry[1]
 
 
 # The maps of d take 16 * d**3 bytes: within the memo's 1 MiB, d <= 32 is
@@ -198,7 +274,7 @@ def mct(img: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> PooledFeature
     cyclic convolution along the (1, 1, 1) diagonal. It is computed without
     the 3-D transforms: the sketch is sheared into d*d rows
     Z(u, v, c) = X((u + c) mod d, (v + c) mod d, c), each row is convolved with
-    the text sketch through a length-d transform, and the result is unsheared,
+    the text sketch by _convolve, and the result is unsheared,
     Y(t1, t2, t3) = Ys((t1 - t3) mod d, (t2 - t3) mod d, t3).
     """
     _require_dense("mct", img, txt)
@@ -216,9 +292,9 @@ def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> li
     """mct of each block of a (count, C, H, W) stack against one text vector.
 
     All blocks share one image plan and one text plan; their sketches come
-    from one batched scatter and their spectra from one transform each way
-    (in the time variant, _spectra's over the sheared rows and the text
-    sketch). _leave checks each block and unshears each time block.
+    from one batched scatter. In the time variant _convolve convolves the
+    sheared rows of every block with the text sketch, the blocks a batch
+    axis; _leave checks the blocks and unshears each one.
     """
     if blocks.order != 4 or txt.order != 1:
         raise ValueError("mct needs an order-3 tensor and a vector")
@@ -242,7 +318,8 @@ def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> li
         else:
             shear, layout = _shear_maps(d4)
             rows = np.take(sketches.values.reshape(blocks.dims[0], -1), shear, axis=1)
-            product = _spectra(rows.reshape(-1, d4), [(txt, p_txt)]).reshape(sketches.dims)
+            rows, w = rows.reshape(blocks.dims[0], -1, d4), count_sketch(txt, p_txt).values
+            product = _convolve(rows, [w], "time").reshape(sketches.dims)
         data = _leave(product, cfg.variant, "mct", layout)
     except RuntimeWarning as e:
         raise _non_finite("mct", e) from e
@@ -252,9 +329,10 @@ def _mct_blocks(blocks: DenseTensor, txt: DenseTensor, cfg: PoolingConfig) -> li
 def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTensor:
     """Sketch of the degree-p self outer product x (x) ... (x) x into d buckets.
 
-    Multiplies the spectra of p independently planned count-sketches and
-    transforms back. degree 1 reduces to a plain count-sketch. With shared
-    plans, inner products of these sketches estimate inner_product(x, y)**p.
+    The circular convolution of p independently planned count-sketches (the
+    product of their spectra, transformed back). degree 1 reduces to a plain
+    count-sketch. With shared plans, inner products of these sketches
+    estimate inner_product(x, y)**p.
     """
     if x.order != 1:
         raise ValueError("polynomial_sketch needs an order-1 tensor")
@@ -264,8 +342,8 @@ def polynomial_sketch(x: DenseTensor, degree: int, d: int, seed: int) -> DenseTe
         raise ValueError(f"output size must be >= 1, got {d}")
     plans = hashplan.repeated_vector_plans(x.dims[0], d, degree, seed)
     try:
-        head = count_sketch(x, plans[0]).values[None]
-        (sketch,) = _leave(_spectra(head, [(x, p) for p in plans[1:]]), "time", "polynomial_sketch")
+        head, *rest = (count_sketch(x, p).values for p in plans)
+        (sketch,) = _leave(_convolve(head[None], rest, "time"), "time", "polynomial_sketch")
     except RuntimeWarning as e:
         raise _non_finite("polynomial_sketch", e) from e
     return sketch

@@ -523,11 +523,21 @@ def test_stacked_forward_transforms_equal_separate_ndfft_calls():
     px, py = out.plans
     separate = ndfft(count_sketch(x, px)).values * ndfft(count_sketch(y, py)).values
     assert np.array_equal(out.data.values, separate)
-    spectrum = np.ones(16, dtype=np.complex128)
-    for p in repeated_vector_plans(7, 16, 3, 4):
+    # Above _DIRECT_MAX, polynomial_sketch is the inverse of the product of the spectra;
+    # at or below it, the first sketch times the circulant matrix of each further one.
+    d = pooling._DIRECT_MAX + 1
+    spectrum = np.ones(d, dtype=np.complex128)
+    for p in repeated_vector_plans(7, d, 3, 4):
         spectrum = spectrum * ndfft(count_sketch(x, p)).values
-    want = checked_real(indfft(ComplexTensor((16,), spectrum)).values, "polynomial_sketch")
-    assert np.array_equal(polynomial_sketch(x, 3, 16, 4).values, want)
+    want = checked_real(indfft(ComplexTensor((d,), spectrum)).values, "polynomial_sketch")
+    assert np.array_equal(polynomial_sketch(x, 3, d, 4).values, want)
+    d = pooling._DIRECT_MAX
+    idx = (np.arange(d) - np.arange(d)[:, None]) % d
+    first, *rest = (count_sketch(x, p).values for p in repeated_vector_plans(7, d, 3, 4))
+    want = first[None]
+    for w in rest:
+        want = np.matmul(want, w[idx])
+    assert np.array_equal(polynomial_sketch(x, 3, d, 4).values, want[0])
 
 
 _BIG = DenseTensor.vector([1e200])  # its square overflows to inf
@@ -774,32 +784,44 @@ def test_only_leave_calls_the_inverse_transform_and_the_exit_checks():
 
 
 _TRANSFORM_CALLS = {
-    # Every time path is one batched row transform each way; frequency mct
-    # transforms the image and the text sketches and inverts nothing.
-    "mcb-time": (lambda im, x: mcb(x, x, PoolingConfig((8,))), 1, 1),
-    "poly-3": (lambda im, x: polynomial_sketch(x, 3, 8, 1), 1, 1),
-    "mct-time": (lambda im, x: mct(im, x, PoolingConfig((4, 4, 4, 4))), 1, 1),
-    "local-mct-time": (lambda im, x: local_mct(im, x, (2, 2, 2), PoolingConfig((4, 4, 4, 4))), 1, 1),
-    "mct-frequency": (lambda im, x: mct(im, x, PoolingConfig((2, 3, 4, 5), "frequency")), 2, 0),
+    "mcb-time": lambda im, x, d: mcb(x, x, PoolingConfig((d,))),
+    "mcb-pad": lambda im, x, d: mcb(x, x, PoolingConfig((d,), "time", True)),
+    "poly-3": lambda im, x, d: polynomial_sketch(x, 3, d, 1),
+    "mct-time": lambda im, x, d: mct(im, x, PoolingConfig((d,) * 4)),
+    "local-mct-time": lambda im, x, d: local_mct(im, x, (2, 2, 2), PoolingConfig((d,) * 4)),
+    "mct-frequency": lambda im, x, d: mct(im, x, PoolingConfig((2, 3, 4, d), "frequency")),
 }
 
 
 @pytest.mark.parametrize("case", list(_TRANSFORM_CALLS))
 def test_each_time_path_is_one_row_transform_each_way(monkeypatch, case):
-    call, forward, inverse = _TRANSFORM_CALLS[case]
-    counts = {"ndfft": 0, "indfft": 0}
+    # Pins the kernel choice. A time path with rows of d <= _DIRECT_MAX convolves them
+    # as a GEMM: no transform and no residue check. Longer rows take one batched row
+    # transform each way and one residue check per block (local_mct tiles its
+    # (4, 4, 2) image into 4 blocks). Frequency mct transforms the image and the
+    # text sketches and inverts nothing, at any d.
+    counts = {"ndfft": 0, "indfft": 0, "checked_real": 0}
 
-    def counted(name, transform):
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            return transform(*args, **kwargs)
+            return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pooling, "ndfft", counted("ndfft", pooling.ndfft))
-    monkeypatch.setattr(pooling, "indfft", counted("indfft", pooling.indfft))
+    for name in counts:
+        monkeypatch.setattr(pooling, name, counted(name, getattr(pooling, name)))
     rng = np.random.default_rng(150)
-    call(DenseTensor.from_array(rng.standard_normal((4, 4, 2))), _gauss_vec(5, 151))
-    assert counts == {"ndfft": forward, "indfft": inverse}
+    im, x = DenseTensor.from_array(rng.standard_normal((4, 4, 2))), _gauss_vec(5, 151)
+    for d in (1, pooling._DIRECT_MAX, pooling._DIRECT_MAX + 1):
+        counts.update(ndfft=0, indfft=0, checked_real=0)
+        _TRANSFORM_CALLS[case](im, x, d)
+        if case == "mct-frequency":
+            want = (2, 0, 0)
+        elif d <= pooling._DIRECT_MAX:
+            want = (0, 0, 0)
+        else:
+            want = (1, 1, 4 if case == "local-mct-time" else 1)
+        assert tuple(counts.values()) == want, d
 
 
 def test_a_held_config_repeats_without_hashing_or_drawing(monkeypatch):
@@ -832,3 +854,87 @@ def test_a_held_config_repeats_without_hashing_or_drawing(monkeypatch):
         assert counts == {"sha256": 0, "_mode_rng": 0}
         data = [getattr(r, "data", r) for r in (first, again)]
         assert data[0] == data[1]
+
+
+@pytest.mark.parametrize("d", [8, pooling._DIRECT_MAX + 1])
+def test_padded_mcb_builds_its_ones_tails_once(monkeypatch, d):
+    # cs([x; 1]) = cs_head(x) + cs_tail(1): a call scatters each input once (one
+    # np.bincount) and, on a plan's first padded call only, its ones tail.
+    x, y, seed = _gauss_vec(5, 170), _gauss_vec(3, 171), 2**63 + 170 + d
+    calls = {"bincount": 0}
+    bincount = np.bincount
+
+    def counted(*args, **kwargs):
+        calls["bincount"] += 1
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    for variant in ("time", "frequency"):
+        cfg = PoolingConfig((d,), variant, True, seed)
+        outs = []
+        for want_calls in (4, 2) if variant == "time" else (2,):
+            calls["bincount"] = 0
+            outs.append(mcb(x, y, cfg))
+            assert calls["bincount"] == want_calls
+        px, py = outs[0].plans
+        assert px.input_dims == py.input_dims == (8,)
+        assert [pooling._tail_memo.get((id(p), n))[0] for p, n in ((px, 5), (py, 3))] == [px, py]
+        concatenated = mcb(pad_with_ones(x, 3), pad_with_ones(y, 5), PoolingConfig((d,), variant, False, seed))
+        for out in outs:
+            assert out.plans == concatenated.plans
+            got, want = out.data.values, concatenated.data.values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if variant == "time":
+            assert np.max(np.abs(got - mcb_oracle(x, y, d, seed, pad=True).values)) <= 1e-9
+
+
+_CROSSOVER = (1, 2, 3, pooling._DIRECT_MAX - 1, pooling._DIRECT_MAX, pooling._DIRECT_MAX + 1)
+
+
+def _poly_literal(x, d, degree, seed):
+    """polynomial_sketch by definition: scatter every cell of x (x) ... (x) x."""
+    modes = [p.modes[0] for p in repeated_vector_plans(x.size, d, degree, seed)]
+    out = np.zeros(d)
+    for cell in np.ndindex(*(x.size,) * degree):
+        at = sum(int(m.hash_table[i]) for m, i in zip(modes, cell)) % d
+        out[at] += np.prod([m.sign_table[i] * x.values[i] for m, i in zip(modes, cell)])
+    return out
+
+
+def _time_outputs(kind, d, img, x, y, seed):
+    """(outputs, oracles) of one time path at d, each output a flat array."""
+    cfg = PoolingConfig((d,) * (1 if kind.startswith("mcb") else 4), "time", kind == "mcb-pad", seed)
+    if kind.startswith("mcb"):
+        return [mcb(x, y, cfg).data.values], [mcb_oracle(x, y, d, seed, pad=cfg.pad_with_ones).values]
+    if kind.startswith("poly"):
+        degree = int(kind[-1])
+        return [polynomial_sketch(x, degree, d, seed).values], [_poly_literal(x, d, degree, seed)]
+    if kind == "mct":
+        return [mct(img, x, cfg).data.values], [mct_oracle(img, x, d, seed).values]
+    block_dims = (1, img.dims[1], img.dims[2])
+    blocks = _blocks(img, block_dims)
+    outs = [f.data.values for _, f in local_mct(img, x, block_dims, cfg)]
+    for out, block in zip(outs, blocks):
+        assert np.array_equal(out, mct(block, x, cfg).data.values)
+    return outs, [mct_oracle(block, x, d, seed).values for block in blocks]
+
+
+@pytest.mark.parametrize("kind", ["mcb", "mcb-pad", "poly-1", "poly-2", "poly-3", "mct", "local_mct"])
+@pytest.mark.parametrize("d", _CROSSOVER)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), draw=st.integers(0, 2**32 - 1))
+def test_both_time_kernels_match_the_oracle_and_each_other(kind, d, seed, draw):
+    # Each time path at d is pinned to its oracle at 1e-9 on the kernel d picks and
+    # agrees with the other kernel, forced through _DIRECT_MAX, at 1e-12 relative;
+    # every local_mct block equals mct of that block alone, bit for bit, on both.
+    rng = np.random.default_rng(draw)
+    sizes = rng.integers(1, 4, size=5)
+    img = DenseTensor.from_array(rng.standard_normal((2, *sizes[:2])))
+    x, y = (DenseTensor.vector(rng.standard_normal(n)) for n in sizes[2:4])
+    outs, oracles = _time_outputs(kind, d, img, x, y, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pooling, "_DIRECT_MAX", d - 1 if d <= pooling._DIRECT_MAX else d)
+        others, _ = _time_outputs(kind, d, img, x, y, seed)
+    for out, other, oracle in zip(outs, others, oracles):
+        assert np.max(np.abs(out - oracle)) <= 1e-9
+        assert np.max(np.abs(out - other)) <= 1e-12 * np.max(np.abs(out))
