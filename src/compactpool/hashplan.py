@@ -190,9 +190,9 @@ class _Memo:
 
     Holds at most _MEMO_BYTES; a value larger than that is not kept. Sharing
     is safe because the values are immutable: build_plan keeps frozen plans
-    with read-only tables, pooling its read-only shear and circulant maps
-    and the read-only ones tails of padded sketches, sketch each plan's
-    md_sketch kernel with read-only one-hot matrices.
+    with read-only tables, pooling its read-only shear and circulant maps,
+    sketch each plan's md_sketch kernel with read-only one-hot matrices and
+    the read-only ones tails of padded count sketches.
     """
 
     def __init__(self, size) -> None:

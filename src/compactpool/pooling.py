@@ -55,9 +55,9 @@ __all__ = [
 VARIANTS = ("time", "frequency")
 
 # Longest time row that _convolve convolves by GEMM against a circulant
-# matrix rather than by FFT. The GEMM won up to d = 128 on a 2-vCPU OpenBLAS
-# host (README table); 64 keeps the tests at _DIRECT_MAX + 1, which run time
-# mct on both kernels, at 65**3 cells a block.
+# matrix rather than by FFT. On a 2-vCPU OpenBLAS host the GEMM won up to
+# d = 160 for one row and up to d = 128, the largest measured, for d*d rows
+# (README table); 64 is a conservative point inside that range.
 _DIRECT_MAX = 64
 
 
@@ -110,8 +110,8 @@ def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
     of the flattened outer product under the composed plan. Frequency
     variant: the elementwise spectral product itself. With pad_with_ones, x
     gains len(y) trailing ones and y gains len(x), so the sketched product
-    also carries both first-order inputs; the padded vectors are never
-    built (see _padded_sketch).
+    also carries both first-order inputs; count_sketch adds the ones as a
+    memoised tail sketch, so the padded vectors are never built.
     """
     if x.order != 1 or y.order != 1:
         raise ValueError("mcb needs two order-1 tensors")
@@ -119,13 +119,13 @@ def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
         raise PoolingContractError(
             f"mcb needs exactly one output dim, got {cfg.output_dims}"
         )
-    d, nx, ny = cfg.output_dims[0], x.dims[0], y.dims[0]
-    if cfg.pad_with_ones:
-        px, py = hashplan.paired_vector_plans(nx + ny, ny + nx, d, cfg.seed)
-        sx, sy = _padded_sketch(x, px), _padded_sketch(y, py)
-    else:
-        px, py = hashplan.paired_vector_plans(nx, ny, d, cfg.seed)
-        sx, sy = count_sketch(x, px).values, count_sketch(y, py).values
+    pad_x, pad_y = (y.dims[0], x.dims[0]) if cfg.pad_with_ones else (0, 0)
+    for v in (x, y) if cfg.pad_with_ones else ():
+        if not isinstance(v, DenseTensor):
+            raise ValueError(f"pad_with_ones needs a DenseTensor, got {type(v).__name__}")
+    px, py = hashplan.paired_vector_plans(x.dims[0] + pad_x, y.dims[0] + pad_y,
+                                          cfg.output_dims[0], cfg.seed)
+    sx, sy = count_sketch(x, px, ones=pad_x).values, count_sketch(y, py, ones=pad_y).values
     try:
         (data,) = _leave(_convolve(sx[None], [sy], cfg.variant), cfg.variant, "mcb")
     except RuntimeWarning as e:
@@ -212,32 +212,6 @@ def _circulant(d: int) -> np.ndarray:
         idx.flags.writeable = False
         _circulant_memo.put(d, idx)
     return idx
-
-
-# The ones tail of a padded count-sketch by (id(plan), split). An entry holds
-# its plan, as sketch._kernels does, so no other live object has that id
-# while the entry exists, and counts the plan's bytes with the tail's.
-_tail_memo = hashplan._Memo(lambda entry: hashplan._plan_bytes(entry[0]) + entry[1].nbytes)
-
-
-def _padded_sketch(v: DenseTensor, p: hashplan.SketchPlan) -> np.ndarray:
-    """count_sketch of [v; 1, ..., 1] under p, without building the padded vector.
-
-    cs([v; 1]) = cs_head(v) + cs_tail(1): the head scatters v's entries
-    through the first len(v) entries of p's tables, and the tail, constant
-    per (p, len(v)), is built on the first call and memoised.
-    """
-    if not isinstance(v, DenseTensor):
-        raise ValueError(f"pad_with_ones needs a DenseTensor, got {type(v).__name__}")
-    mode, n = p.modes[0], v.dims[0]
-    entry = _tail_memo.get((id(p), n))
-    if entry is None:
-        tail = np.bincount(mode.hash_table[n:], mode._signs[n:], minlength=mode.output_size)
-        tail.setflags(write=False)
-        entry = (p, tail)
-        _tail_memo.put((id(p), n), entry)
-    head = np.bincount(mode.hash_table[:n], v.values * mode._signs[:n], minlength=mode.output_size)
-    return head + entry[1]
 
 
 # The maps of d take 16 * d**3 bytes: within the memo's 1 MiB, d <= 32 is

@@ -31,11 +31,15 @@ __all__ = [
 _GEMM_MAX_OUTPUT = 64
 
 
-def count_sketch(v: DenseTensor, p: SketchPlan) -> DenseTensor:
+def count_sketch(v: DenseTensor, p: SketchPlan, *, ones: int = 0) -> DenseTensor:
     """Scatter a real vector into signed buckets: w(t) = sum over h(i)=t of s(i) v(i).
 
     One multiply by the plan's float signs and one np.bincount, which adds
-    the entries of each bucket in index order.
+    the entries of each bucket in index order. With ones = k, v stands for
+    [v; 1, ..., 1] with k trailing ones, under a plan of len(v) + k inputs,
+    and the padded vector is never built: cs([v; 1]) = cs_head(v) +
+    cs_tail(1), where the tail, constant per (plan, len(v)), is built on the
+    first such call and memoised (_ones_tail).
     """
     if not isinstance(v, DenseTensor):
         raise ValueError(f"count_sketch needs a DenseTensor, got {type(v).__name__}")
@@ -43,11 +47,31 @@ def count_sketch(v: DenseTensor, p: SketchPlan) -> DenseTensor:
         raise ValueError(f"count_sketch needs an order-1 tensor, got order {v.order}")
     if p.order != 1:
         raise ValueError(f"count_sketch needs an order-1 plan, got order {p.order}")
-    mode = p.modes[0]
-    if v.dims[0] != mode.input_size:
-        raise ValueError(f"size mismatch: vector {v.dims[0]}, plan {mode.input_size}")
-    w = np.bincount(mode.hash_table, v.values * mode._signs, minlength=mode.output_size)
+    mode, n = p.modes[0], v.dims[0]
+    if _integer(ones, "ones") < 0 or n + ones != mode.input_size:
+        raise ValueError(f"size mismatch: vector {n} and {ones} ones, plan {mode.input_size}")
+    w = np.bincount(mode.hash_table[:n], v.values * mode._signs[:n], minlength=mode.output_size)
+    if ones:
+        w += _ones_tail(p, n)
     return DenseTensor._adopt((mode.output_size,), w)
+
+
+# The ones tail of a padded count-sketch by (id(plan), split). An entry holds
+# its plan, as _kernels does, so no other live object has that id while the
+# entry exists, and counts the plan's bytes with the tail's.
+_ones_tails = _Memo(lambda entry: _plan_bytes(entry[0]) + entry[1].nbytes)
+
+
+def _ones_tail(p: SketchPlan, n: int) -> np.ndarray:
+    """count_sketch of ones at the inputs n.. of an order-1 plan, read-only and memoised."""
+    entry = _ones_tails.get((id(p), n))
+    if entry is None:
+        mode = p.modes[0]
+        tail = np.bincount(mode.hash_table[n:], mode._signs[n:], minlength=mode.output_size)
+        tail.setflags(write=False)
+        entry = (p, tail)
+        _ones_tails.put((id(p), n), entry)
+    return entry[1]
 
 
 def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:

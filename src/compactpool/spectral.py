@@ -88,13 +88,13 @@ def _transform(t: DenseTensor | ComplexTensor, batched: bool, fft, fftn) -> Comp
 def _real_rows(arr: np.ndarray) -> np.ndarray:
     """np.fft.fft of real rows from half their spectra.
 
-    np.fft.rfft writes bins 0..d//2 of each row into a fresh complex output,
-    and one np.conjugate fills the rest as the exact mirror
-    F(d - k) = conj(F(k)).
+    np.fft.rfft's bins 0..d//2 of each row are copied into a fresh complex
+    output (numpy.fft takes out= only from NumPy 2.0), and one np.conjugate
+    fills the rest as the exact mirror F(d - k) = conj(F(k)).
     """
     d = arr.shape[-1]
     out = np.empty(arr.shape, np.complex128)
-    np.fft.rfft(arr, out=out[..., :d // 2 + 1])
+    out[..., :d // 2 + 1] = np.fft.rfft(arr)
     np.conjugate(out[..., (d - 1) // 2:0:-1], out=out[..., d // 2 + 1:])
     return out
 

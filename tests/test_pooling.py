@@ -859,26 +859,30 @@ def test_a_held_config_repeats_without_hashing_or_drawing(monkeypatch):
 @pytest.mark.parametrize("d", [8, pooling._DIRECT_MAX + 1])
 def test_padded_mcb_builds_its_ones_tails_once(monkeypatch, d):
     # cs([x; 1]) = cs_head(x) + cs_tail(1): a call scatters each input once (one
-    # np.bincount) and, on a plan's first padded call only, its ones tail.
+    # np.bincount), builds no padded vector and, on a plan's first padded call only,
+    # scatters its ones tail.
     x, y, seed = _gauss_vec(5, 170), _gauss_vec(3, 171), 2**63 + 170 + d
-    calls = {"bincount": 0}
-    bincount = np.bincount
+    calls = {"bincount": 0, "ones": 0}
+    bincount, ones = np.bincount, np.ones
 
-    def counted(*args, **kwargs):
-        calls["bincount"] += 1
-        return bincount(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np, "bincount", counted)
     for variant in ("time", "frequency"):
         cfg = PoolingConfig((d,), variant, True, seed)
         outs = []
-        for want_calls in (4, 2) if variant == "time" else (2,):
-            calls["bincount"] = 0
-            outs.append(mcb(x, y, cfg))
-            assert calls["bincount"] == want_calls
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "bincount", counted("bincount", bincount))
+            mp.setattr(np, "ones", counted("ones", ones))
+            for want_calls in (4, 2) if variant == "time" else (2,):
+                calls.update(bincount=0, ones=0)
+                outs.append(mcb(x, y, cfg))
+                assert calls == {"bincount": want_calls, "ones": 0}
         px, py = outs[0].plans
         assert px.input_dims == py.input_dims == (8,)
-        assert [pooling._tail_memo.get((id(p), n))[0] for p, n in ((px, 5), (py, 3))] == [px, py]
         concatenated = mcb(pad_with_ones(x, 3), pad_with_ones(y, 5), PoolingConfig((d,), variant, False, seed))
         for out in outs:
             assert out.plans == concatenated.plans

@@ -64,6 +64,24 @@ def test_count_sketch_size_mismatch():
         count_sketch(DenseTensor.vector([1, 2]), build_plan([3], [2], 0))
 
 
+def test_count_sketch_with_ones_is_the_sketch_of_the_padded_vector():
+    # ones=k stands for k trailing ones: the head scatter plus the memoised ones tail.
+    v = DenseTensor.vector(np.random.default_rng(40).standard_normal(5))
+    for k in (0, 1, 3):
+        p = build_plan([5 + k], [4], 40 + k)
+        padded = DenseTensor.vector(np.concatenate([v.values, np.ones(k)]))
+        got, want = count_sketch(v, p, ones=k).values, count_sketch(padded, p).values
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.abs(padded.values).sum()
+        if k:
+            entry = sketch._ones_tails.get((id(p), 5))
+            assert entry[0] is p and not entry[1].flags.writeable
+    for k in (-1, 2, 4):
+        with pytest.raises(ValueError, match="mismatch"):
+            count_sketch(v, build_plan([8], [4], 40), ones=k)
+    with pytest.raises(ValueError, match="ones must be an integer"):
+        count_sketch(v, build_plan([8], [4], 40), ones=3.0)
+
+
 def test_md_sketch_single_nonzero_cell():
     p = SketchPlan(
         (
