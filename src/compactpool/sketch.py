@@ -50,7 +50,10 @@ def count_sketch(v: DenseTensor, p: SketchPlan, *, ones: int = 0) -> DenseTensor
     mode, n = p.modes[0], v.dims[0]
     if _integer(ones, "ones") < 0 or n + ones != mode.input_size:
         raise ValueError(f"size mismatch: vector {n} and {ones} ones, plan {mode.input_size}")
-    w = np.bincount(mode.hash_table[:n], v.values * mode._signs[:n], minlength=mode.output_size)
+    h, s = mode.hash_table, mode._signs
+    if ones:
+        h, s = h[:n], s[:n]
+    w = np.bincount(h, v.values * s, minlength=mode.output_size)
     if ones:
         w += _ones_tail(p, n)
     return DenseTensor._adopt((mode.output_size,), w)
