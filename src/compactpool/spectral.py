@@ -85,33 +85,13 @@ def _transform(t: DenseTensor | ComplexTensor, batched: bool, fft, fftn) -> Comp
     return ComplexTensor._adopt(t.dims, out)
 
 
-def _real_rows(arr: np.ndarray) -> np.ndarray:
-    """np.fft.fft of real rows from half their spectra.
-
-    np.fft.rfft's bins 0..d//2 of each row are copied into a fresh complex
-    output (numpy.fft takes out= only from NumPy 2.0), and one np.conjugate
-    fills the rest as the exact mirror F(d - k) = conj(F(k)).
-    """
-    d = arr.shape[-1]
-    out = np.empty(arr.shape, np.complex128)
-    out[..., :d // 2 + 1] = np.fft.rfft(arr)
-    np.conjugate(out[..., (d - 1) // 2:0:-1], out=out[..., d // 2 + 1:])
-    return out
-
-
 def ndfft(t: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTensor:
     """Unnormalized forward DFT over every mode.
 
     With batched (a bool), mode 0 indexes independent blocks and is not
-    transformed: each block comes out as ndfft of that block alone. A
-    DenseTensor transformed along one mode is computed from half its
-    spectrum (np.fft.rfft) and filled by conjugate symmetry, so bins d - k
-    and k are exact conjugates; the result is still the full spectrum. A
-    ComplexTensor, or a transform over more than one mode, runs the full
-    np.fft.fft/fftn.
+    transformed: each block comes out as ndfft of that block alone.
     """
-    fft = _real_rows if isinstance(t, DenseTensor) else np.fft.fft
-    return _transform(t, batched, fft, np.fft.fftn)
+    return _transform(t, batched, np.fft.fft, np.fft.fftn)
 
 
 def indfft(f: DenseTensor | ComplexTensor, batched: bool = False) -> ComplexTensor:

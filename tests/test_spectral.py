@@ -149,24 +149,3 @@ def test_checked_real_keeps_norm_overflow_warnings_to_itself():
     assert checked_real(np.array([1e200, -1e200]), "x").tolist() == [1e200, -1e200]
     with pytest.raises(ResidueError, match="imaginary residue"):
         checked_real(np.array([1e200 + 1e200j, 1.0]), "x")
-
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 1023, 1024])
-def test_real_rows_take_half_a_spectrum_and_mirror_it(d):
-    rows = np.random.default_rng(d).standard_normal((3, d))
-    batched = ndfft(DenseTensor.from_array(rows), batched=True).array
-    k = np.arange(1, d)
-    for row, got in zip(rows, batched):
-        single = ndfft(DenseTensor.vector(row)).values
-        assert np.array_equal(got, single)
-        assert np.max(np.abs(single - np.fft.fft(row))) <= 1e-15 * np.sqrt(row @ row) * d
-        assert np.array_equal(single[d - k], np.conj(single[k]))
-
-
-def test_complex_and_multi_mode_input_keep_the_full_transform():
-    arr = np.random.default_rng(160).standard_normal((3, 4, 5))
-    assert np.array_equal(ndfft(ComplexTensor.from_array(arr[0, 0] + 0j)).values, np.fft.fft(arr[0, 0]))
-    assert np.array_equal(ndfft(DenseTensor.from_array(arr)).array, np.fft.fftn(arr))
-    batched = ndfft(DenseTensor.from_array(arr), batched=True).array
-    assert np.array_equal(batched, np.fft.fftn(arr, axes=(1, 2)))
