@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import _INT, _integer, _is_integer
+from .tensor import _INT, _checked_dims, _integer, _is_integer
 
 __all__ = [
     "ModeHash",
@@ -38,11 +38,13 @@ __all__ = [
 ]
 
 PLAN_FORMAT_VERSION = 1
-# Bytes each memo may hold (see _Memo): a build_plan plan counts its hash
-# and sign tables and its float signs at 24 bytes per entry plus
-# _MODE_OVERHEAD per mode for the Python objects around them, which dominate
-# for small plans.
-_MEMO_BYTES = 2**20
+# The plan memo's bound (see _Memo). A plan counts 24 bytes per input entry
+# (hash, sign and float sign tables), _MODE_OVERHEAD per mode for the objects
+# around them, and its kept tables. One warm round of the stream_mid,
+# cli_files and stream_vqa workloads keeps 614, 748 and 1,078 KiB.
+_MEMO_BYTES = 2**21
+# The most a plan with its kept tables may take; also pooling's memo bound.
+_KEEP_BYTES = 2**20
 _MODE_OVERHEAD = 1024
 
 
@@ -143,7 +145,10 @@ class ModeHash:
 
 @dataclass(frozen=True, eq=False)
 class SketchPlan:
-    """One ModeHash per tensor mode plus the seed the tables were drawn from."""
+    """One ModeHash per tensor mode plus the seed the tables were drawn from.
+
+    Its order and dims are derived once, its output cells within the tensor cap.
+    """
 
     modes: tuple[ModeHash, ...]
     seed: int
@@ -155,20 +160,27 @@ class SketchPlan:
         if not all(isinstance(m, ModeHash) for m in modes):
             raise ValueError(f"SketchPlan modes must be ModeHash objects, got "
                              f"{[type(m).__name__ for m in modes]}")
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "__dict__", {
+            "modes": modes, "seed": _integer(self.seed, "seed"), "order": len(modes),
+            "input_dims": tuple([m.input_size for m in modes]),
+            "output_dims": _checked_dims([m.output_size for m in modes]), "_tables": {}})
 
-    @property
-    def order(self) -> int:
-        return len(self.modes)
+    def _table(self, key, build, *args):
+        """The read-only table under key that sketches derive from this plan.
 
-    @property
-    def input_dims(self) -> tuple[int, ...]:
-        return tuple(m.input_size for m in self.modes)
-
-    @property
-    def output_dims(self) -> tuple[int, ...]:
-        return tuple(m.output_size for m in self.modes)
+        Built by build(*args) -> (table, nbytes) on first use, and kept while
+        the plan with its tables fits in _KEEP_BYTES. Kept under the plan
+        memo's lock, which counts the table when the memo holds this plan.
+        """
+        entry = self._tables.get(key)
+        if entry is None:
+            entry = build(*args)
+            with _memo._lock:
+                if key not in self._tables and _plan_bytes(self) + entry[1] <= _KEEP_BYTES:
+                    self._tables[key] = entry
+                    if _memo._values.get((self.input_dims, self.output_dims, self.seed)) is self:
+                        _memo._grow(entry[1])
+        return entry[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SketchPlan):
@@ -181,22 +193,21 @@ def _mode_rng(seed: int, mode: int) -> np.random.Generator:
 
 
 def _plan_bytes(plan: SketchPlan) -> int:
-    return sum(m.hash_table.nbytes + m.sign_table.nbytes + m._signs.nbytes + _MODE_OVERHEAD
-               for m in plan.modes)
+    return (sum([24 * m.input_size + _MODE_OVERHEAD for m in plan.modes])
+            + sum([nbytes for _, nbytes in plan._tables.values()]))
 
 
 class _Memo:
     """Values by key, least recently used first, each counted as size(value) bytes.
 
-    Holds at most _MEMO_BYTES; a value larger than that is not kept. Sharing
+    Holds at most bound bytes; a value larger than that is not kept. Sharing
     is safe because the values are immutable: build_plan keeps frozen plans
-    with read-only tables, pooling its read-only shear and circulant maps,
-    sketch each plan's md_sketch kernel with read-only one-hot matrices and
-    the read-only ones tails of padded count sketches.
+    with read-only tables, pooling its read-only shear and circulant maps.
     """
 
-    def __init__(self, size) -> None:
+    def __init__(self, size, bound: int = _KEEP_BYTES) -> None:
         self._size = size
+        self._bound = bound
         self._values: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self.nbytes = 0
@@ -213,16 +224,20 @@ class _Memo:
 
     def put(self, key, value) -> None:
         size = self._size(value)
-        if size > _MEMO_BYTES:
+        if size > self._bound:
             return
         with self._lock:
             if key in self._values:
                 return
             self._values[key] = value
-            self.nbytes += size
-            while self.nbytes > _MEMO_BYTES:
-                _, old = self._values.popitem(last=False)
-                self.nbytes -= self._size(old)
+            self._grow(size)
+
+    def _grow(self, size: int) -> None:
+        """Count size more bytes and evict down to the bound; the caller holds the lock."""
+        self.nbytes += size
+        while self.nbytes > self._bound:
+            _, old = self._values.popitem(last=False)
+            self.nbytes -= self._size(old)
 
     def clear(self) -> None:
         with self._lock:
@@ -230,7 +245,7 @@ class _Memo:
             self.nbytes = 0
 
 
-_memo = _Memo(_plan_bytes)
+_memo = _Memo(_plan_bytes, _MEMO_BYTES)
 
 
 def build_plan(input_dims: Sequence[int], output_dims: Sequence[int], seed: int) -> SketchPlan:
@@ -259,6 +274,7 @@ def build_plan(input_dims: Sequence[int], output_dims: Sequence[int], seed: int)
     key = (ins, outs, seed)
     plan = _memo.get(key)
     if plan is None:
+        _checked_dims(outs)
         modes = []
         for m, (n, d) in enumerate(zip(ins, outs)):
             rng = _mode_rng(seed, m)

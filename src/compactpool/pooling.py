@@ -111,7 +111,7 @@ def mcb(x: DenseTensor, y: DenseTensor, cfg: PoolingConfig) -> PooledFeature:
     variant: the elementwise spectral product itself. With pad_with_ones, x
     gains len(y) trailing ones and y gains len(x), so the sketched product
     also carries both first-order inputs; count_sketch adds the ones as a
-    memoised tail sketch, so the padded vectors are never built.
+    tail sketch its plan keeps, so the padded vectors are never built.
     """
     if x.order != 1 or y.order != 1:
         raise ValueError("mcb needs two order-1 tensors")

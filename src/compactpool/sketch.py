@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hashplan import ModeHash, SketchPlan, _Memo, _plan_bytes
+from .hashplan import ModeHash, SketchPlan
 from .tensor import DenseTensor, _integer
 
 __all__ = [
@@ -39,7 +39,7 @@ def count_sketch(v: DenseTensor, p: SketchPlan, *, ones: int = 0) -> DenseTensor
     [v; 1, ..., 1] with k trailing ones, under a plan of len(v) + k inputs,
     and the padded vector is never built: cs([v; 1]) = cs_head(v) +
     cs_tail(1), where the tail, constant per (plan, len(v)), is built on the
-    first such call and memoised (_ones_tail).
+    first such call and kept on the plan (_ones_tail).
     """
     if not isinstance(v, DenseTensor):
         raise ValueError(f"count_sketch needs a DenseTensor, got {type(v).__name__}")
@@ -50,31 +50,19 @@ def count_sketch(v: DenseTensor, p: SketchPlan, *, ones: int = 0) -> DenseTensor
     mode, n = p.modes[0], v.dims[0]
     if _integer(ones, "ones") < 0 or n + ones != mode.input_size:
         raise ValueError(f"size mismatch: vector {n} and {ones} ones, plan {mode.input_size}")
-    h, s = mode.hash_table, mode._signs
-    if ones:
-        h, s = h[:n], s[:n]
-    w = np.bincount(h, v.values * s, minlength=mode.output_size)
-    if ones:
-        w += _ones_tail(p, n)
+    if not ones:
+        w = np.bincount(mode.hash_table, v.values * mode._signs, minlength=mode.output_size)
+    else:
+        w = np.bincount(mode.hash_table[:n], v.values * mode._signs[:n], minlength=mode.output_size)
+        w += p._table(("ones", n), _ones_tail, mode, n)
     return DenseTensor._adopt((mode.output_size,), w)
 
 
-# The ones tail of a padded count-sketch by (id(plan), split). An entry holds
-# its plan, as _kernels does, so no other live object has that id while the
-# entry exists, and counts the plan's bytes with the tail's.
-_ones_tails = _Memo(lambda entry: _plan_bytes(entry[0]) + entry[1].nbytes)
-
-
-def _ones_tail(p: SketchPlan, n: int) -> np.ndarray:
-    """count_sketch of ones at the inputs n.. of an order-1 plan, read-only and memoised."""
-    entry = _ones_tails.get((id(p), n))
-    if entry is None:
-        mode = p.modes[0]
-        tail = np.bincount(mode.hash_table[n:], mode._signs[n:], minlength=mode.output_size)
-        tail.setflags(write=False)
-        entry = (p, tail)
-        _ones_tails.put((id(p), n), entry)
-    return entry[1]
+def _ones_tail(mode: ModeHash, n: int) -> tuple[np.ndarray, int]:
+    """count_sketch of ones at the inputs n.. of mode, read-only, and its bytes."""
+    tail = np.bincount(mode.hash_table[n:], mode._signs[n:], minlength=mode.output_size)
+    tail.setflags(write=False)
+    return tail, tail.nbytes
 
 
 def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:
@@ -114,7 +102,7 @@ def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:
     if count == 0:
         return DenseTensor._adopt(dims, np.zeros(dims))
     x = t.values
-    for onehot, run, pre, post in _kernel(p):
+    for onehot, run, pre, post in p._table("md_sketch", _kernel, p):
         if onehot is None:
             x = _scatter(x, run, count * pre, post)
         else:
@@ -122,27 +110,15 @@ def md_sketch(t: DenseTensor, p: SketchPlan) -> DenseTensor:
     return DenseTensor._adopt(dims, x)
 
 
-# md_sketch's kernel per plan, built on its first sketch. Keyed by id(plan):
-# an entry holds its plan, so no other live object has that id while the
-# entry exists. An entry counts its plan's bytes and its one-hot matrices'
-# (8 * n * d bytes each): within the memo's 1 MiB, a (2048, 14, 14) image
-# plan keeps them up to d = 32; at d = 64 they are built per call.
-_kernels = _Memo(lambda entry: _plan_bytes(entry[0]) + sum(
-    onehot.nbytes for onehot, *_ in entry[1] if onehot is not None))
+def _kernel(p: SketchPlan) -> tuple[list[tuple[np.ndarray | None, list[ModeHash], int, int]], int]:
+    """p's modes in order as (onehot, modes, pre, post), and the one-hot matrices' bytes.
 
-
-def _kernel(p: SketchPlan) -> list[tuple[np.ndarray | None, list[ModeHash], int, int]]:
-    """p's modes in order as (onehot, modes, pre, post), memoised per plan.
-
-    A GEMM mode comes alone with its read-only signed one-hot matrix, and
-    scatter modes come in runs with None. pre is the product of the output
-    sizes before the run, post that of the input sizes after it.
+    A GEMM mode comes alone with its read-only signed one-hot matrix (8*n*d
+    bytes), and scatter modes come in runs with None. pre is the product of
+    the output sizes before the run, post that of the input sizes after it.
     """
-    entry = _kernels.get(id(p))
-    if entry is not None:
-        return entry[1]
     runs: list[tuple[np.ndarray | None, list[ModeHash], int, int]] = []
-    pre, post = 1, math.prod(p.input_dims)
+    pre, post, nbytes = 1, math.prod(p.input_dims), 0
     for mode in p.modes:
         post //= mode.input_size
         if mode.output_size <= _GEMM_MAX_OUTPUT and mode.output_size <= pre * post:
@@ -151,13 +127,13 @@ def _kernel(p: SketchPlan) -> list[tuple[np.ndarray | None, list[ModeHash], int,
             onehot[np.arange(mode.input_size), mode.hash_table] = mode.sign_table
             onehot.setflags(write=False)
             runs.append((onehot, [mode], pre, post))
+            nbytes += onehot.nbytes
         elif not runs or runs[-1][0] is not None:
             runs.append((None, [mode], pre, post))
         else:
             runs[-1] = (None, runs[-1][1] + [mode], runs[-1][2], post)
         pre *= mode.output_size
-    _kernels.put(id(p), (p, runs))
-    return runs
+    return runs, nbytes
 
 
 def _gemm(x: np.ndarray, onehot: np.ndarray, count: int, pre: int, post: int) -> np.ndarray:

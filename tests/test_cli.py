@@ -76,6 +76,29 @@ def test_gen_over_the_cell_cap_refuses_before_it_draws(tmp_path, monkeypatch, ca
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, dims, variant", [
+    ("mcb", "9223372036854775808", "time"),
+    ("mcb", "9223372036854775808", "freq"),
+    ("poly", "9223372036854775808", "time"),
+    ("mct", "9223372036854775808,2,2,2", "freq"),
+    ("mcb", "99999999999999999999", "time"),
+    ("mcb", "4611686018427387904", "time"),
+])
+def test_pool_refuses_output_dims_over_the_cell_cap(tmp_path, capsys, mode, dims, variant):
+    # Refused where the plan is made, before numpy sees the size: no OverflowError
+    # traceback from np.bincount, and no numpy message about int64 bounds.
+    write_tensor(DenseTensor.vector([1.0, 2.0]), tmp_path / "v.tsk")
+    write_tensor(DenseTensor.from_array(np.ones((2, 2, 2))), tmp_path / "img.tsk")
+    a = "img.tsk" if mode == "mct" else "v.tsk"
+    argv = ["pool", "--mode", mode, "--a", str(tmp_path / a), "--dims", dims,
+            "--variant", variant, "--seed", "3", "--out", str(tmp_path / "out.tsk")]
+    if mode != "poly":
+        argv[5:5] = ["--b", str(tmp_path / "v.tsk")]
+    assert main(argv) == 2
+    assert "over the 281474976710656 cap" in capsys.readouterr().err
+    assert not (tmp_path / "out.tsk").exists()
+
+
 def test_gen_draws_by_shape_as_one_flat_stream(tmp_path):
     out = tmp_path / "x.tsk"
     assert main(["gen", "--shape", "3x4x5", "--dist", "uniform", "--seed", "8", "--out", str(out)]) == 0

@@ -1,4 +1,7 @@
+import importlib
 import json
+import operator
+import pkgutil
 import sys
 import threading
 
@@ -7,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compactpool import hashplan
+import compactpool
+from compactpool import hashplan, sketch
 from compactpool.hashplan import (
     ModeHash,
     PlanFormatError,
@@ -18,6 +22,7 @@ from compactpool.hashplan import (
     load_plan,
     save_plan,
 )
+from compactpool.pooling import PoolingConfig, local_mct, mcb, mct, polynomial_sketch
 from compactpool.sketch import count_sketch
 from compactpool.tensor import DenseTensor
 
@@ -426,3 +431,73 @@ def test_load_plan_fuzz_never_loads_a_changed_plan(data):
     except PlanFormatError:
         return
     assert save_plan(plan) == text
+
+
+def _workload_round(name, seed):
+    """One library call of each op kind of the named benchmark workload, at its shapes."""
+    rng = np.random.default_rng(seed)
+
+    def arg(*dims):
+        return DenseTensor.from_array(rng.standard_normal(dims))
+
+    def cfg(dims, variant="time", pad=False):
+        return PoolingConfig(dims, variant, pad, seed)
+
+    if name == "stream_mid":
+        x = arg(4096)
+        mcb(x, x, cfg((1024,)))
+        mcb(x, x, cfg((1024,), "frequency"))
+        mcb(x, x, cfg((1024,), pad=True))
+        polynomial_sketch(arg(64), 2, 256, seed)
+        mct(arg(8, 8, 8), arg(16), cfg((8,) * 4))
+        local_mct(arg(32, 16, 16), arg(64), (8, 4, 4), cfg((8,) * 4))
+    elif name == "cli_files":
+        mct(arg(2048, 14, 14), arg(2048), cfg((16,) * 4))
+        mcb(arg(4096), arg(4096), cfg((1024,), "frequency"))
+        polynomial_sketch(arg(4096), 2, 1024, seed)
+    else:
+        x, img = arg(2048), arg(2048, 14, 14)
+        mcb(x, x, cfg((16000,)))
+        mcb(x, x, cfg((16000,), "frequency"))
+        mct(img, x, cfg((16,) * 4))
+        mct(img, x, cfg((32,) * 4))
+
+
+@pytest.mark.parametrize("workload, kib", [("stream_mid", 614), ("cli_files", 748),
+                                           ("stream_vqa", 1078)])
+def test_the_plan_memo_holds_each_workload_without_rebuilding(monkeypatch, memo, workload, kib):
+    # After one round the memo holds every plan with the tables it keeps, within its
+    # bound, and counts each plan as _plan_bytes does; a second round builds nothing.
+    builds = {"_mode_rng": 0, "_kernel": 0, "_ones_tail": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            builds[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(hashplan, "_mode_rng")
+    counted(sketch, "_kernel")
+    counted(sketch, "_ones_tail")
+    _workload_round(workload, 41)
+    assert builds["_mode_rng"] > 0 and builds["_kernel"] > 0
+    assert (builds["_ones_tail"] > 0) is (workload == "stream_mid")
+    held = list(memo._values.values())
+    assert memo.nbytes == sum(map(hashplan._plan_bytes, held)) <= hashplan._MEMO_BYTES
+    assert round(memo.nbytes / 1024) == kib
+    builds.update(dict.fromkeys(builds, 0))
+    _workload_round(workload, 41)
+    assert builds == dict.fromkeys(builds, 0)
+    assert len(memo) == len(held) and all(map(operator.is_, memo._values.values(), held))
+
+
+def test_the_plan_memo_and_the_map_memos_are_the_only_memos():
+    # Tables derived from a plan live on the plan: no memo keyed by plan identity.
+    found = set()
+    for info in pkgutil.iter_modules(compactpool.__path__):
+        module = importlib.import_module(f"compactpool.{info.name}")
+        found |= {f"{info.name}.{attr}" for attr, value in vars(module).items()
+                  if isinstance(value, hashplan._Memo)}
+    assert found == {"hashplan._memo", "pooling._circulant_memo", "pooling._shear_memo"}

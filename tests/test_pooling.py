@@ -691,7 +691,7 @@ def test_shear_memo_stays_within_its_bound(shear_memo):
     # The maps of d = 1..32 together take 4.4 MiB, over the 1 MiB bound.
     for d in range(1, 33):
         maps = pooling._shear_maps(d)
-        assert shear_memo.nbytes <= hashplan._MEMO_BYTES
+        assert shear_memo.nbytes <= hashplan._KEEP_BYTES
         assert shear_memo.get(d) is maps
     assert shear_memo.get(1) is None
 
@@ -721,12 +721,12 @@ def test_shear_memo_keeps_its_byte_count_under_concurrent_calls(shear_memo):
     assert not errors and not any(t.is_alive() for t in threads)
     held = [shear_memo.get(d) for d in range(20, 33)]
     assert shear_memo.nbytes == sum(m.nbytes for maps in held if maps for m in maps)
-    assert shear_memo.nbytes <= hashplan._MEMO_BYTES
+    assert shear_memo.nbytes <= hashplan._KEEP_BYTES
 
 
 def test_shear_memo_skips_maps_over_its_bound(shear_memo):
     shear, unshear = pooling._shear_maps(64)  # 2 * 64**3 * 8 bytes = 4 MiB
-    assert shear.nbytes + unshear.nbytes > hashplan._MEMO_BYTES
+    assert shear.nbytes + unshear.nbytes > hashplan._KEEP_BYTES
     assert not shear.flags.writeable and not unshear.flags.writeable
     assert len(shear_memo) == 0 and shear_memo.nbytes == 0
 
@@ -942,3 +942,57 @@ def test_both_time_kernels_match_the_oracle_and_each_other(kind, d, seed, draw):
     for out, other, oracle in zip(outs, others, oracles):
         assert np.max(np.abs(out - oracle)) <= 1e-9
         assert np.max(np.abs(out - other)) <= 1e-12 * np.max(np.abs(out))
+
+
+# VQA-scale entry pins: a handful of seeded output entries, each a literal masked sum over
+# the plan tables. They use no FFT, no GEMM and no library sketch, so they pin the shapes
+# the oracles' cell cap leaves out, at 1e-9 of max|Y|.
+
+
+def _literal_count_sketch(v, mode):
+    """The count sketch of v under mode, by np.add.at."""
+    w = np.zeros(mode.output_size)
+    np.add.at(w, mode.hash_table, mode.sign_table * v)
+    return w
+
+
+def _mct_entry(img, w, p_img, t):
+    """Y(t) = sum over k of W(k) * X((t1 - k) mod d, (t2 - k) mod d, (t3 - k) mod d), X the MD sketch.
+
+    A cell (i, j, l) of the image meets W(k) for the one k = (t1 - h1(i)) mod d, and
+    counts when h2(j) and h3(l) hit t2 - k and t3 - k.
+    """
+    (h1, s1), (h2, s2), (h3, s3) = ((m.hash_table, m.sign_table) for m in p_img.modes)
+    d = len(w)
+    k = (t[0] - h1) % d
+    rows = s2 * (h2 == (t[1] - k[:, None]) % d)
+    cols = s3 * (h3 == (t[2] - k[:, None]) % d)
+    return np.sum((s1 * w[k])[:, None, None] * rows[:, :, None] * cols[:, None, :] * img)
+
+
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_vqa_time_mct_entries_equal_their_literal_sums(d):
+    # 16 and 32 keep the image plan's one-hot matrices; 64 builds them per call.
+    rng = np.random.default_rng(180 + d)
+    img, txt = rng.standard_normal((2048, 14, 14)), rng.standard_normal(2048)
+    out = mct(DenseTensor.from_array(img), DenseTensor.vector(txt), PoolingConfig((d,) * 4, seed=180))
+    p_img, p_txt = out.plans
+    w = _literal_count_sketch(txt, p_txt.modes[0])
+    y = out.data.array
+    for t in rng.integers(0, d, size=(8, 3)):
+        assert abs(y[tuple(t)] - _mct_entry(img, w, p_img, t)) <= 1e-9 * np.abs(y).max()
+
+
+def test_vqa_padded_mcb_entries_equal_their_literal_sums():
+    # y(t) = sum over i of sx(i) x(i) * cs_y((t - hx(i)) mod d), over the padded inputs,
+    # so the entries also pin the ones tails the plans keep.
+    rng = np.random.default_rng(190)
+    x, y, d = rng.standard_normal(2048), rng.standard_normal(2048), 16000
+    out = mcb(DenseTensor.vector(x), DenseTensor.vector(y), PoolingConfig((d,), pad_with_ones=True, seed=190))
+    mx, my = (p.modes[0] for p in out.plans)
+    ones = np.ones(2048)
+    cs_y = _literal_count_sketch(np.concatenate([y, ones]), my)
+    xs = mx.sign_table * np.concatenate([x, ones])
+    got = out.data.values
+    for t in rng.integers(0, d, size=8):
+        assert abs(got[t] - xs @ cs_y[(t - mx.hash_table) % d]) <= 1e-9 * np.abs(got).max()

@@ -35,6 +35,7 @@ from compactpool.reference import kernel_oracle, mcb_oracle, mct_oracle
 from compactpool.sketch import count_sketch, md_sketch
 from compactpool.spectral import naive_ndft, ndfft
 from compactpool.tensor import (
+    CapacityError,
     ComplexTensor,
     DenseTensor,
     inner_product,
@@ -55,6 +56,12 @@ def _tsk1(tmp_path, order, reserved, dims):
     path.write_bytes(struct.pack("<4sBBBB", b"TSK1", 1, order, 0, reserved)
                      + struct.pack(f"<{len(dims)}Q", *dims) + struct.pack("<d", 1.0))
     return read_tensor(path)
+
+
+def _plan_with_output(size):
+    doc = json.loads(save_plan(build_plan([1], [2], 0)))
+    doc["modes"][0]["output_size"] = size
+    return load_plan(json.dumps(doc))
 
 
 def _plan_without(field):
@@ -131,6 +138,28 @@ REFUSALS = {
                              "stack_blocks needs a DenseTensor"),
     "mcb-pad-complex": (lambda tmp: mcb(_CVEC, _VEC, PoolingConfig((4,), pad_with_ones=True)),
                         ValueError, "pad_with_ones needs a DenseTensor"),
+    # A plan's output cells are checked against the tensor cap where the plan is made,
+    # so no operator reaches an allocation, a bincount or a draw with them.
+    "build-plan-over-the-cap": (lambda tmp: build_plan([2], [2**63], 0), CapacityError, "cap"),
+    "build-plan-cells-over-the-cap": (lambda tmp: build_plan([2, 2], [2**24, 2**25], 0),
+                                      CapacityError, "cap"),
+    "hand-built-plan-over-the-cap": (lambda tmp: SketchPlan((ModeHash(1, 2**49, [0], [1]),), 0),
+                                     CapacityError, "cap"),
+    "loaded-plan-over-the-cap": (lambda tmp: _plan_with_output(2**62), CapacityError, "cap"),
+    "mcb-time-over-the-cap": (lambda tmp: mcb(_VEC, _VEC, PoolingConfig((2**63,))),
+                              CapacityError, "cap"),
+    "mcb-frequency-over-the-cap": (lambda tmp: mcb(_VEC, _VEC, PoolingConfig((2**63,), "frequency")),
+                                   CapacityError, "cap"),
+    "mcb-pad-over-the-cap": (lambda tmp: mcb(_VEC, _VEC, PoolingConfig((2**62,), pad_with_ones=True)),
+                             CapacityError, "cap"),
+    "mcb-int64-overflow": (lambda tmp: mcb(_VEC, _VEC, PoolingConfig((10**20,))), CapacityError, "cap"),
+    "poly-over-the-cap": (lambda tmp: polynomial_sketch(_VEC, 2, 2**63, 0), CapacityError, "cap"),
+    "mct-frequency-over-the-cap": (lambda tmp: mct(_IMG, _VEC, PoolingConfig((2**63, 2, 2, 2),
+                                                                                "frequency")),
+                                   CapacityError, "cap"),
+    "local-mct-over-the-cap": (lambda tmp: local_mct(_IMG, _VEC, (1, 1, 1),
+                                                     PoolingConfig((2**17,) * 4)),
+                               CapacityError, "cap"),
 }
 
 

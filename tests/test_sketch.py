@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from compactpool import hashplan, sketch
 from compactpool.hashplan import ModeHash, SketchPlan, build_plan
+from compactpool.pooling import polynomial_sketch
 from compactpool.reference import mcb_oracle, mct_oracle
 from compactpool.sketch import (
     aggregate_estimates,
@@ -65,7 +66,7 @@ def test_count_sketch_size_mismatch():
 
 
 def test_count_sketch_with_ones_is_the_sketch_of_the_padded_vector():
-    # ones=k stands for k trailing ones: the head scatter plus the memoised ones tail.
+    # ones=k stands for k trailing ones: the head scatter plus the ones tail the plan keeps.
     v = DenseTensor.vector(np.random.default_rng(40).standard_normal(5))
     for k in (0, 1, 3):
         p = build_plan([5 + k], [4], 40 + k)
@@ -73,8 +74,10 @@ def test_count_sketch_with_ones_is_the_sketch_of_the_padded_vector():
         got, want = count_sketch(v, p, ones=k).values, count_sketch(padded, p).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.abs(padded.values).sum()
         if k:
-            entry = sketch._ones_tails.get((id(p), 5))
-            assert entry[0] is p and not entry[1].flags.writeable
+            tail, nbytes = p._tables[("ones", 5)]
+            ones = DenseTensor.vector(np.concatenate([np.zeros(5), np.ones(k)]))
+            assert not tail.flags.writeable and np.array_equal(tail, count_sketch(ones, p).values)
+            assert hashplan._plan_bytes(p) == 24 * (5 + k) + hashplan._MODE_OVERHEAD + nbytes
     for k in (-1, 2, 4):
         with pytest.raises(ValueError, match="mismatch"):
             count_sketch(v, build_plan([8], [4], 40), ones=k)
@@ -426,39 +429,76 @@ def test_mct_oracle_inner_product_has_the_exact_mean():
     assert abs(estimates.mean() - exact) <= 1e-12 * abs(exact)
 
 
+def _fresh_memo(monkeypatch):
+    monkeypatch.setattr(hashplan, "_memo", hashplan._Memo(hashplan._plan_bytes, hashplan._MEMO_BYTES))
+    return hashplan._memo
+
+
+@pytest.mark.parametrize("degree, count", [(2, 256), (3, 4096)])
+def test_polynomial_sketch_inner_product_has_the_exact_mean(monkeypatch, degree, count):
+    # Every tuple of degree plans from 2 to 2, each substituted for the seeded plans:
+    # E<P(x), P(y)> = <x, y>**degree over independent plans.
+    x, y = (DenseTensor.vector(w) for w in _correlated_pair(2, 17))
+    modes = _every_mode(2, 2)
+    estimates = []
+    for picked in itertools.product(modes, repeat=degree):
+        plans = tuple(SketchPlan((m,), 0) for m in picked)
+        monkeypatch.setattr(hashplan, "repeated_vector_plans", lambda n, d, k, seed: plans)
+        estimates.append(polynomial_sketch(x, degree, 2, 0).values
+                         @ polynomial_sketch(y, degree, 2, 0).values)
+    assert len(estimates) == count
+    exact = float(x.values @ y.values) ** degree
+    assert abs(np.mean(estimates) - exact) <= 1e-12 * abs(exact)
+
+
 def test_md_sketch_kernels_are_read_only_equal_their_tables_and_counted(monkeypatch):
-    monkeypatch.setattr(sketch, "_kernels", hashplan._Memo(sketch._kernels._size))
+    memo = _fresh_memo(monkeypatch)
     plan = build_plan([3, 4, 5], [2, 3, 70], 21)  # GEMM, GEMM, scatter
     md_sketch(DenseTensor.from_array(np.ones((3, 4, 5))), plan)
-    ((kept_plan, runs),) = sketch._kernels._values.values()
-    assert kept_plan is plan and [r[0] is None for r in runs] == [False, False, True]
+    ((runs, nbytes),) = plan._tables.values()
+    assert [r[0] is None for r in runs] == [False, False, True]
     for onehot, (mode,), *_ in runs[:2]:
         assert not onehot.flags.writeable
         want = np.zeros((mode.input_size, mode.output_size))
         want[np.arange(mode.input_size), mode.hash_table] = mode.sign_table
         assert np.array_equal(onehot, want)
-    assert sketch._kernels.nbytes == hashplan._plan_bytes(plan) + 8 * (3 * 2 + 4 * 3)
+    assert nbytes == 8 * (3 * 2 + 4 * 3)
+    assert memo.nbytes == hashplan._plan_bytes(plan) == 24 * 12 + 3 * hashplan._MODE_OVERHEAD + nbytes
+
+
+def test_an_evicted_plan_takes_its_kept_tables_out_of_the_memo_count(monkeypatch):
+    # Room for three (6, 5, 4) -> 3**3 plans with their kernels: keeping a kernel can
+    # evict, and the count stays what the held plans hold.
+    memo = hashplan._Memo(hashplan._plan_bytes, 3 * 4096)
+    monkeypatch.setattr(hashplan, "_memo", memo)
+    block = DenseTensor.from_array(np.ones((6, 5, 4)))
+    for seed in range(12):
+        md_sketch(block, build_plan([6, 5, 4], [3, 3, 3], seed))
+        assert memo.nbytes == sum(map(hashplan._plan_bytes, memo._values.values())) <= 3 * 4096
+    assert len(memo) == 3 and all(len(p._tables) == 1 for p in memo._values.values())
 
 
 @pytest.mark.parametrize("d, kept", [(16, True), (32, True), (64, False)])
 def test_vqa_image_plans_stay_memoised_and_keep_kernels_within_the_bound(monkeypatch, d, kept):
     # The one-hot matrix of the 2048-channel mode takes 2048 * d * 8 bytes: 1 MiB at d = 64,
-    # the memo's bound, so that kernel is built per call. The plan memo holds no kernel.
-    monkeypatch.setattr(sketch, "_kernels", hashplan._Memo(sketch._kernels._size))
+    # the most a plan with its tables may take, so that kernel is built per call.
+    memo = _fresh_memo(monkeypatch)
     plan = build_plan([2048, 14, 14], [d] * 3, 22)
     assert build_plan([2048, 14, 14], [d] * 3, 22) is plan
-    runs = sketch._kernel(plan)
+    runs = plan._table("md_sketch", sketch._kernel, plan)
     assert runs[0][0].shape == (2048, d)
-    assert (sketch._kernel(plan) is runs) is kept
-    assert len(sketch._kernels) == kept
+    assert (plan._table("md_sketch", sketch._kernel, plan) is runs) is kept
+    assert len(plan._tables) == kept
+    assert memo.nbytes == hashplan._plan_bytes(plan) <= hashplan._KEEP_BYTES
 
 
 def test_md_sketch_kernel_memo_fills_alike_under_concurrent_calls(monkeypatch):
-    monkeypatch.setattr(sketch, "_kernels", hashplan._Memo(sketch._kernels._size))
+    # Threads race to keep each memoised plan's kernel: each plan keeps one, counted once.
+    memo = _fresh_memo(monkeypatch)
     plans = [build_plan([6, 5, 4], [3, 3, 3], seed) for seed in range(8)]
     blocks = DenseTensor.from_array(np.random.default_rng(23).standard_normal((2, 6, 5, 4)))
-    want = [md_sketch(blocks, p).values.tobytes() for p in plans]
-    sketch._kernels.clear()
+    want = [md_sketch(blocks, SketchPlan(p.modes, p.seed)).values.tobytes() for p in plans]
+    assert not any(p._tables for p in plans)
     got, errors = [], []
 
     def worker():
@@ -480,7 +520,8 @@ def test_md_sketch_kernel_memo_fills_alike_under_concurrent_calls(monkeypatch):
         sys.setswitchinterval(old)
     assert not errors and not any(t.is_alive() for t in threads)
     assert len(got) == 80 and all(g == want for g in got)
-    assert len(sketch._kernels) == len(plans)
+    assert all(len(p._tables) == 1 for p in plans)
+    assert memo.nbytes == sum(map(hashplan._plan_bytes, plans))
 
 
 @settings(max_examples=60, deadline=None)
